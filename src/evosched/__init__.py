@@ -41,12 +41,10 @@ from .profiler import (
     MemoryBreakdown,
     ModelArch,
     TimeRegressor,
-    conv_param_memory,
     feature_memory,
     fit_accuracy_curve,
     memory_demand,
     predict_accuracy_gain,
-    predict_retraining_time,
     train_time_regressor,
 )
 from .scheduler import (
@@ -69,7 +67,7 @@ from .simenv import (
     Scenario,
     ServerSpec,
     SimMetrics,
-    baseline_step,
+    admit,
     gen_trace,
     load_scenario,
     run,

@@ -1,7 +1,8 @@
 """Command-line interface: run simulations, exercise individual components,
 and materialize trace fixtures.
 
-Exit codes: 0 success, 2 input error, 3 internal invariant violation.
+Exit codes: 0 success, 2 input error, 3 internal error (any other uncaught
+exception, a defect in the program).
 """
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from dataclasses import replace
 from typing import Optional, Sequence
 
@@ -182,8 +184,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # anything else is a defect, not bad input
+        if args.verbose:
+            traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

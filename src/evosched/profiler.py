@@ -11,9 +11,9 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -96,13 +96,6 @@ def param_count(layer: LayerSpec) -> int:
     raise ValueError(f"unknown layer kind {layer.kind!r}")
 
 
-def conv_param_memory(layer: LayerSpec, bitwidth: int) -> float:
-    """Parameter bytes of a convolution layer."""
-    if layer.kind is not LayerKind.CONV:
-        raise ValueError("conv_param_memory requires a conv layer")
-    return param_count(layer) * bitwidth / 8.0
-
-
 def param_memory(layer: LayerSpec, bitwidth: int) -> float:
     return param_count(layer) * bitwidth / 8.0
 
@@ -151,8 +144,9 @@ def memory_demand(arch: ModelArch, workspace_bytes: float = DEFAULT_WORKSPACE_BY
 
 # --- architecture descriptor file (JSON) ------------------------------------
 
-def write_arch_json(path, arch: ModelArch) -> None:
-    doc = {
+def arch_to_doc(arch: ModelArch) -> dict:
+    """JSON document of an architecture, as arch files and scenarios hold it."""
+    return {
         "bitwidth": arch.bitwidth,
         "input_w": arch.input_w,
         "input_h": arch.input_h,
@@ -166,8 +160,33 @@ def write_arch_json(path, arch: ModelArch) -> None:
             for l in arch.layers
         ],
     }
+
+
+def arch_from_doc(doc: dict) -> ModelArch:
+    """Inverse of ``arch_to_doc``; absent optional fields take their defaults.
+    Raises KeyError, TypeError or ValueError on a malformed document."""
+    layers = tuple(
+        LayerSpec(
+            kind=LayerKind(rec["kind"]),
+            c_in=int(rec["c_in"]), c_out=int(rec["c_out"]),
+            k1=int(rec.get("k1", 1)), k2=int(rec.get("k2", 1)),
+            s1=int(rec.get("s1", 1)), s2=int(rec.get("s2", 1)),
+            p1=int(rec.get("p1", 0)), p2=int(rec.get("p2", 0)),
+        )
+        for rec in doc["layers"]
+    )
+    return ModelArch(
+        layers=layers,
+        bitwidth=int(doc.get("bitwidth", 32)),
+        input_w=int(doc.get("input_w", 224)),
+        input_h=int(doc.get("input_h", 224)),
+        batch=int(doc.get("batch", 1)),
+    )
+
+
+def write_arch_json(path, arch: ModelArch) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(arch_to_doc(arch), fh, indent=2)
         fh.write("\n")
 
 
@@ -175,23 +194,7 @@ def read_arch_json(path) -> ModelArch:
     with open(path) as fh:
         doc = json.load(fh)
     try:
-        layers = tuple(
-            LayerSpec(
-                kind=LayerKind(rec["kind"]),
-                c_in=int(rec["c_in"]), c_out=int(rec["c_out"]),
-                k1=int(rec.get("k1", 1)), k2=int(rec.get("k2", 1)),
-                s1=int(rec.get("s1", 1)), s2=int(rec.get("s2", 1)),
-                p1=int(rec.get("p1", 0)), p2=int(rec.get("p2", 0)),
-            )
-            for rec in doc["layers"]
-        )
-        return ModelArch(
-            layers=layers,
-            bitwidth=int(doc.get("bitwidth", 32)),
-            input_w=int(doc.get("input_w", 224)),
-            input_h=int(doc.get("input_h", 224)),
-            batch=int(doc.get("batch", 1)),
-        )
+        return arch_from_doc(doc)
     except (KeyError, ValueError, TypeError) as exc:
         raise ValueError(f"{path}: bad architecture descriptor: {exc}") from exc
 
@@ -441,12 +444,6 @@ def train_time_regressor(
             biases[i] -= step_lr * (m_b[i] / bc1) / (np.sqrt(v_b[i] / bc2) + eps)
 
     return TimeRegressor(weights=weights, biases=biases, x_mean=x_mean, x_std=x_std)
-
-
-def predict_retraining_time(reg: TimeRegressor, features: Sequence[float]) -> float:
-    """Predicted retraining seconds for one (param size, data count,
-    unfrozen layers, epochs, batch size) feature vector."""
-    return reg.predict(features)
 
 
 def mean_relative_error(reg: TimeRegressor, samples: Sequence[Tuple[Sequence[float], float]]) -> float:

@@ -71,7 +71,6 @@ class RunningEntry:
     share: float        # compute units/s
     completion_t: float
     t_r: float          # predicted retraining duration of this task
-    started_t: float = 0.0
 
 
 @dataclass
@@ -95,25 +94,15 @@ def group_number(cfg: GroupingConfig) -> int:
     """Number of urgency groups.
 
     The tail band length beta is the largest value not exceeding ``eps_range``
-    whose expected tail population still reaches ``n_min`` (the population is
-    monotone increasing in beta, so the bound is checked at ``eps_range``
-    after bisecting for the feasibility threshold).
+    whose expected tail population still reaches ``n_min``.  The population
+    is monotone increasing in beta, so that value is ``eps_range`` itself
+    whenever any band is feasible.
     """
     if _tail_count(cfg, cfg.eps_range) < cfg.n_min:
         raise ValueError(
             "infeasible grouping config: even the widest allowed tail band "
             f"(eps_range={cfg.eps_range}) holds fewer than n_min={cfg.n_min} tasks"
         )
-    # Bisection locates the smallest feasible beta; the largest feasible one
-    # under the band-length cap is eps_range itself.
-    lo, hi = 0.0, cfg.eps_range
-    if _tail_count(cfg, lo) < cfg.n_min:
-        while hi - lo > 1e-6:
-            mid = (lo + hi) / 2.0
-            if _tail_count(cfg, mid) < cfg.n_min:
-                lo = mid
-            else:
-                hi = mid
     beta = cfg.eps_range
     half = (cfg.lambda_max - cfg.lambda_min) / 2.0
     tail_mass = 1.0 - math.erf((half - beta) / (math.sqrt(2.0) * cfg.sigma))

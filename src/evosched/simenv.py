@@ -12,7 +12,7 @@ import csv
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -36,7 +36,15 @@ from .drift import (
     FrameRecord,
     write_trace_csv,
 )
-from .profiler import ModelArch, AccuracyCurve, memory_demand, param_count, MB
+from .profiler import (
+    MB,
+    AccuracyCurve,
+    ModelArch,
+    arch_from_doc,
+    arch_to_doc,
+    memory_demand,
+    param_count,
+)
 from .sampler import (
     GlobalFeatureModel,
     SamplerConfig,
@@ -351,12 +359,7 @@ class _AccuracyModel:
         self._anchor_a = spec.base_accuracy
 
     def at(self, t: float) -> float:
-        drop = 0.0
-        for lo, hi, rate in self._decays:
-            overlap = min(t, hi) - max(self._anchor_t, lo)
-            if overlap > 0:
-                drop += rate * overlap
-        return max(ACCURACY_FLOOR, self._anchor_a - drop)
+        return max(ACCURACY_FLOOR, self._unclamped(t))
 
     def restore(self, t: float, value: float) -> None:
         self._anchor_t = t
@@ -429,7 +432,8 @@ class _TaskState:
     t_upload: float
     admit_t: float = 0.0
     t_retrain: float = 0.0
-    remaining_work: float = 0.0   # default-gpu engine only
+    remaining_work: float = 0.0   # compute-seconds left while running
+    token: int = 0                # matches the task's live completion event
 
 
 class _Sim:
@@ -451,9 +455,7 @@ class _Sim:
             k = group_number(scenario.grouping)
             g = scenario.grouping
             self.boundaries = group_boundaries(k, g.lambda_min, g.lambda_max, g.sigma)
-        # default-gpu processor-sharing engine state
-        self._ps_last_t = 0.0
-        self._ps_version = 0
+        self._work_t = 0.0  # time up to which remaining_work is current
 
         self.ends = []
         for i, spec in enumerate(scenario.ends):
@@ -547,25 +549,19 @@ class _Sim:
         self.queue.append(self.tasks[task_id].task)
         self._admit(t)
 
-    def _on_retrain_done(self, t: float, payload) -> None:
-        if self.sc.policy is Policy.DEFAULT_GPU:
-            task_id, version = payload
-            if version != self._ps_version:
-                return  # superseded by a later membership change
-            self._ps_advance(t)
-            done = [tid for tid, e in self.pool.running.items()
-                    if self.tasks[tid].remaining_work <= 1e-9]
-            for tid in done:
-                self._complete(t, tid)
-            self._ps_reschedule(t)
-            self._admit(t)
-            return
-
-        task_id = payload
-        entry = self.pool.running.get(task_id)
-        if entry is None or abs(entry.completion_t - t) > 1e-9:
-            return
-        self._complete(t, task_id)
+    def _on_retrain_done(self, t: float, payload: Tuple[str, int]) -> None:
+        task_id, token = payload
+        if task_id not in self.pool.running or self.tasks[task_id].token != token:
+            return  # superseded by a share change, or already finished
+        self._advance(t)
+        # Under processor sharing, tasks that tie finish together; a
+        # fixed-share task finishes on its own event.
+        shared = self.sc.policy is Policy.DEFAULT_GPU
+        done = [tid for tid in self.pool.running if tid == task_id
+                or (shared and self.tasks[tid].remaining_work <= 1e-9)]
+        for tid in done:
+            self._complete(t, tid)
+        self._apply(t, admit(self.sc.policy, (), self.pool, t))
         if self.sc.policy in (Policy.ADAPTIVE, Policy.DP_NO_GROUPING) and self.pool.running:
             _, decision_t = decide_capacity(self.pool, self.sc.lookahead_factor, now=t)
             if decision_t > t + 1e-12:
@@ -617,105 +613,38 @@ class _Sim:
         end.cycle_start = t
         end.detector = DriftDetector(self.sc.detector)
 
-    # -- admission policies --
+    # -- admission and the completion engine --
 
     def _admit(self, t: float) -> None:
         if not self.queue:
             return
-        policy = self.sc.policy
-        if policy in (Policy.ADAPTIVE, Policy.DP_NO_GROUPING):
-            self._admit_dp(t)
-        elif policy is Policy.DEFAULT_GPU:
-            self._admit_default_gpu(t)
-        else:
-            self._admit_serial(t)
+        self._advance(t)
+        self._apply(t, admit(self.sc.policy, self.queue, self.pool, t))
 
-    def _free_compute(self) -> float:
-        return self.pool.compute_capacity - sum(e.share for e in self.pool.running.values())
-
-    def _admit_dp(self, t: float) -> None:
-        free_mem = self.pool.free_memory_at(t)
-        free_compute = self._free_compute()
-        if free_mem <= 0 or free_compute <= 1e-9:
-            return
-        if self.sc.policy is Policy.ADAPTIVE:
-            groups = sorted({task.group for task in self.queue})
-            chosen = ()
-            for g in groups:  # promotion: fall through to the next band if
-                candidates = [task for task in self.queue if task.group == g]
-                result = select_tasks(candidates, free_mem, decision_t=t)
-                if result.selected:
-                    chosen = result.selected
-                    break
-        else:
-            result = select_tasks(self.queue, free_mem, decision_t=t)
-            chosen = result.selected
-        if not chosen:
-            return
-        picked = [task for task in self.queue if task.id in chosen]
-        shares = allocate_compute(picked, free_compute)
-        for task in picked:
-            self._start(t, task, shares[task.id])
-        self.queue = [task for task in self.queue if task.id not in chosen]
-
-    def _admit_serial(self, t: float) -> None:
-        for task_id in baseline_step(self.sc.policy, self.queue, self.pool, t):
-            task = next(task for task in self.queue if task.id == task_id)
-            self._start(t, task, self.pool.compute_capacity)
-            self.queue.remove(task)
-
-    def _admit_default_gpu(self, t: float) -> None:
-        self._ps_advance(t)
-        chosen = baseline_step(self.sc.policy, self.queue, self.pool, t)
-        if not chosen:
-            return
-        for task_id in chosen:
-            task = next(task for task in self.queue if task.id == task_id)
-            self.queue.remove(task)
-            ts = self.tasks[task.id]
-            ts.admit_t = t
-            ts.remaining_work = task.work
-            self.pool.running[task.id] = RunningEntry(
-                mem=task.mem_demand, share=0.0, completion_t=math.inf,
-                t_r=task.predicted_t_r, started_t=t,
-            )
-        self._ps_reschedule(t)
-
-    def _start(self, t: float, task: EvolutionTask, share: float) -> None:
-        ts = self.tasks[task.id]
-        ts.admit_t = t
-        duration = task.work / share
-        self.pool.running[task.id] = RunningEntry(
-            mem=task.mem_demand, share=share, completion_t=t + duration,
-            t_r=duration, started_t=t,
-        )
-        self._push(t + duration, _EV_RETRAIN, task.id)
-
-    # -- processor-sharing engine (default-gpu policy) --
-
-    def _ps_advance(self, t: float) -> None:
-        n = len(self.pool.running)
-        if n:
-            share = self.pool.compute_capacity / n
-            dt = t - self._ps_last_t
-            for tid in self.pool.running:
-                self.tasks[tid].remaining_work = max(
-                    0.0, self.tasks[tid].remaining_work - share * dt)
-        self._ps_last_t = t
-
-    def _ps_reschedule(self, t: float) -> None:
-        self._ps_version += 1
-        n = len(self.pool.running)
-        if not n:
-            return
-        share = self.pool.compute_capacity / n
+    def _advance(self, t: float) -> None:
+        """Charge every running task for the work done since the last advance."""
+        dt = t - self._work_t
         for tid, entry in self.pool.running.items():
-            entry.share = share
-            entry.completion_t = t + self.tasks[tid].remaining_work / share
-        next_t = min(e.completion_t for e in self.pool.running.values())
-        next_id = min(tid for tid, e in self.pool.running.items()
-                      if e.completion_t == next_t)
-        self._push(next_t, _EV_RETRAIN, (next_id, self._ps_version))
+            ts = self.tasks[tid]
+            ts.remaining_work = max(0.0, ts.remaining_work - entry.share * dt)
+        self._work_t = t
+
+    def _apply(self, t: float, shares: Dict[str, float]) -> None:
+        """Start each newly admitted task in ``shares`` and give every task in
+        it a completion event for its new share; older events go stale."""
+        for tid, share in shares.items():
+            ts = self.tasks[tid]
+            if tid not in self.pool.running:
+                self.queue.remove(ts.task)
+                ts.admit_t = t
+                ts.remaining_work = ts.task.work
+            duration = ts.remaining_work / share
+            self.pool.running[tid] = RunningEntry(
+                mem=ts.task.mem_demand, share=share, completion_t=t + duration,
+                t_r=duration,
+            )
+            ts.token += 1
+            self._push(t + duration, _EV_RETRAIN, (tid, ts.token))
 
     # -- reporting --
 
@@ -742,43 +671,61 @@ class _Sim:
         )
 
 
-def baseline_step(
+def admit(
     policy: Policy,
     queue: Sequence[EvolutionTask],
     pool: GpuPool,
-    now: float = 0.0,
-) -> List[str]:
-    """Task ids a baseline policy would admit from ``queue`` right now.
+    now: float,
+) -> Dict[str, float]:
+    """Compute shares ``policy`` assigns at ``now``: one for each task it
+    admits from ``queue``, in queue order, and one for each running task
+    whose share changes.
 
-    Default GPU: arrival order while memory fits, stopping at the first task
-    that does not (head-of-line rule).  Serial policies: one task at a time,
-    FIFO or highest urgency first.  DP-without-grouping: knapsack selection
-    over the whole queue.
+    Adaptive: knapsack selection within the most urgent group that yields a
+    selection, falling through to the next group otherwise; the admitted
+    tasks split the free compute in proportion to memory.  DP-without-
+    grouping: the same over the whole queue.  Default GPU: arrival order while
+    memory fits, stopping at the first task that does not (head-of-line
+    rule); every running and admitted task gets an equal share.  Serial
+    policies: one task at a time with all compute, FIFO or highest urgency
+    first.
     """
-    if not queue:
-        return []
     free_mem = pool.free_memory_at(now)
     if policy is Policy.DEFAULT_GPU:
-        chosen = []
+        ids = list(pool.running)
         for task in queue:
             if task.mem_demand > free_mem:
                 break
-            chosen.append(task.id)
+            ids.append(task.id)
             free_mem -= task.mem_demand
-        return chosen
+        if not ids:
+            return {}
+        share = pool.compute_capacity / len(ids)
+        return {tid: share for tid in ids
+                if tid not in pool.running or pool.running[tid].share != share}
     if policy in (Policy.SERIAL_FIFO, Policy.SERIAL_PRIORITY):
         if pool.running:
-            return []
+            return {}
         order = list(queue)
         if policy is Policy.SERIAL_PRIORITY:
             order.sort(key=lambda task: (-task.urgency, task.arrival_t, task.id))
         for task in order:
             if task.mem_demand <= pool.mem_capacity:
-                return [task.id]
-        return []
-    if policy is Policy.DP_NO_GROUPING:
-        return list(select_tasks(queue, free_mem, decision_t=now).selected)
-    raise ValueError(f"{policy} is not a baseline policy")
+                return {task.id: pool.compute_capacity}
+        return {}
+    free_compute = pool.compute_capacity - sum(e.share for e in pool.running.values())
+    if not queue or free_mem <= 0 or free_compute <= 1e-9:
+        return {}
+    if policy is Policy.ADAPTIVE:
+        for g in sorted({task.group for task in queue}):
+            chosen = select_tasks([task for task in queue if task.group == g],
+                                  free_mem, decision_t=now).selected
+            if chosen:
+                break
+    else:
+        chosen = select_tasks(queue, free_mem, decision_t=now).selected
+    picked = [task for task in queue if task.id in chosen]
+    return allocate_compute(picked, free_compute) if picked else {}
 
 
 def run(scenario: Scenario) -> SimMetrics:
@@ -787,33 +734,6 @@ def run(scenario: Scenario) -> SimMetrics:
 
 
 # --- scenario JSON ----------------------------------------------------------
-
-def _arch_doc(arch: ModelArch) -> dict:
-    return {
-        "bitwidth": arch.bitwidth, "input_w": arch.input_w,
-        "input_h": arch.input_h, "batch": arch.batch,
-        "layers": [
-            {"kind": l.kind.value, "c_in": l.c_in, "c_out": l.c_out,
-             "k1": l.k1, "k2": l.k2, "s1": l.s1, "s2": l.s2,
-             "p1": l.p1, "p2": l.p2}
-            for l in arch.layers
-        ],
-    }
-
-
-def _arch_from_doc(doc: dict) -> ModelArch:
-    from .profiler import LayerKind, LayerSpec
-    layers = tuple(
-        LayerSpec(kind=LayerKind(rec["kind"]), c_in=rec["c_in"], c_out=rec["c_out"],
-                  k1=rec.get("k1", 1), k2=rec.get("k2", 1),
-                  s1=rec.get("s1", 1), s2=rec.get("s2", 1),
-                  p1=rec.get("p1", 0), p2=rec.get("p2", 0))
-        for rec in doc["layers"]
-    )
-    return ModelArch(layers=layers, bitwidth=doc.get("bitwidth", 32),
-                     input_w=doc.get("input_w", 224), input_h=doc.get("input_h", 224),
-                     batch=doc.get("batch", 1))
-
 
 def scenario_to_json(scenario: Scenario) -> dict:
     g, s, d = scenario.grouping, scenario.sampler, scenario.detector
@@ -851,7 +771,7 @@ def scenario_to_json(scenario: Scenario) -> dict:
         "ends": [
             {
                 "end_id": e.end_id,
-                "arch": _arch_doc(e.arch),
+                "arch": arch_to_doc(e.arch),
                 "frame_rate": e.frame_rate,
                 "frame_bytes": e.frame_bytes,
                 "base_accuracy": e.base_accuracy,
@@ -882,7 +802,7 @@ def scenario_from_json(doc: dict) -> Scenario:
         ends = tuple(
             MobileEndSpec(
                 end_id=e["end_id"],
-                arch=_arch_from_doc(e["arch"]),
+                arch=arch_from_doc(e["arch"]),
                 drift_events=tuple(
                     DriftInjection(t=ev["t"], drift_type=DriftType(ev["type"]),
                                    magnitude=ev["magnitude"],

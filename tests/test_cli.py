@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from evosched.cli import EXIT_INPUT, EXIT_OK, OUT_DIR_ENV, main
+from evosched import simenv
+from evosched.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, OUT_DIR_ENV, main
 from evosched.drift import DriftType, write_trace_csv
 from evosched.profiler import write_arch_json
 from evosched.simenv import (
@@ -72,6 +73,18 @@ class TestSimulate:
         rc = main(["simulate", "--scenario", str(scenario_path),
                    "--policy", "warp-speed", "--out", str(tmp_path / "o")])
         assert rc == EXIT_INPUT
+
+    def test_uncaught_exception_is_internal_error(self, scenario_path, tmp_path,
+                                                  monkeypatch, capsys):
+        def broken_run(scenario):
+            raise RuntimeError("event heap corrupted")
+        monkeypatch.setattr(simenv, "run", broken_run)
+        rc = main(["simulate", "--scenario", str(scenario_path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: ")
+        assert "event heap corrupted" in err
 
 
 def test_sweep_runs_all(scenario_path, tmp_path):
