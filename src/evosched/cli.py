@@ -27,9 +27,10 @@ def _out_dir(args) -> str:
     return out
 
 
-def _load_scenario(args):
+def _load_scenario(path, args):
+    """The scenario at ``path`` with ``--seed`` and, where given, ``--policy`` applied."""
     from .simenv import load_scenario
-    scenario = load_scenario(args.scenario)
+    scenario = load_scenario(path)
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     if getattr(args, "policy", None):
@@ -41,7 +42,7 @@ def _load_scenario(args):
 def cmd_simulate(args) -> int:
     from .simenv import run, write_metrics_csv, write_summary_json
     out = _out_dir(args)
-    scenario = _load_scenario(args)
+    scenario = _load_scenario(args.scenario, args)
     metrics = run(scenario)
     csv_path = os.path.join(out, "metrics.csv")
     json_path = os.path.join(out, "summary.json")
@@ -54,14 +55,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .simenv import load_scenario, run, write_metrics_csv, write_summary_json
+    from .simenv import run, write_metrics_csv, write_summary_json
     out = _out_dir(args)
     with open(args.sweep) as fh:
         paths = [line.strip() for line in fh if line.strip()]
     for path in paths:
-        scenario = load_scenario(path)
-        if args.seed is not None:
-            scenario = replace(scenario, seed=args.seed)
+        scenario = _load_scenario(path, args)
         metrics = run(scenario)
         stem = os.path.splitext(os.path.basename(path))[0]
         write_metrics_csv(os.path.join(out, f"{stem}_metrics.csv"), metrics)
@@ -125,7 +124,7 @@ def cmd_schedule(args) -> int:
 def cmd_gen_traces(args) -> int:
     from .simenv import write_traces
     out = _out_dir(args)
-    scenario = _load_scenario(args)
+    scenario = _load_scenario(args.scenario, args)
     for path in write_traces(out, scenario):
         if args.verbose:
             print(f"wrote {path}")

@@ -16,8 +16,6 @@ from enum import Enum
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.special import expit
 
 MB = 1024 * 1024
 DEFAULT_WORKSPACE_BYTES = int(round(847.30 * MB))  # framework scratch allocation
@@ -227,6 +225,8 @@ def fit_accuracy_curve(probes: Sequence[Tuple[float, float]]) -> AccuracyCurve:
     Nested bounded scalar searches: the outer search runs over b, the inner
     over c; a_max has a closed form (mean residual offset) at each step.
     """
+    from scipy.optimize import minimize_scalar  # scipy is slow to import; only fitting needs it
+
     if len(probes) < 3:
         raise ValueError("need at least 3 probe points")
     e = np.asarray([p[0] for p in probes], dtype=float)
@@ -367,6 +367,8 @@ def train_time_regressor(
     Deterministic for a given (samples, seed): identical inputs give
     bit-identical weights.
     """
+    from scipy.special import expit  # scipy is slow to import; only training needs it
+
     if len(samples) < 50:
         raise ValueError("need at least 50 training samples")
     x = np.asarray([s[0] for s in samples], dtype=np.float64)

@@ -8,12 +8,14 @@ knapsack pipeline.  Identical (scenario, seed) inputs give identical outputs.
 """
 from __future__ import annotations
 
+import bisect
 import csv
 import heapq
 import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -190,58 +192,6 @@ def _stream(seed: int, end_index: int, purpose: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, end_index, purpose)))
 
 
-def _clc_level(spec: MobileEndSpec, t: float, mix: float) -> float:
-    """Mean CLC at time t; ``mix`` resolves the stochastic gradual regimes."""
-    base = spec.base_accuracy
-    level = base
-    for ev in spec.drift_events:
-        settle = ev.t + ev.transition_s
-        recover = settle + ev.recovery_s
-        if t < ev.t or t >= recover:
-            continue
-        if t >= settle:
-            level = base - ev.magnitude
-        elif ev.drift_type is DriftType.SUDDEN:
-            level = base - ev.magnitude
-        elif ev.drift_type is DriftType.INCREMENTAL:
-            frac = (t - ev.t) / ev.transition_s if ev.transition_s > 0 else 1.0
-            level = base - ev.magnitude * frac
-        else:  # gradual: old/new mixture with rising new-regime probability
-            q = (t - ev.t) / ev.transition_s if ev.transition_s > 0 else 1.0
-            level = base - ev.magnitude if mix < q else base
-    return level
-
-
-def _pixel_level(spec: MobileEndSpec, t: float, area: float) -> float:
-    p_old = PIXEL_OLD_FRACTION * area
-    p_new = PIXEL_NEW_FRACTION * area
-    level = p_old
-    for ev in spec.drift_events:
-        settle = ev.t + ev.transition_s
-        recover = settle + ev.recovery_s
-        if t < ev.t or t >= recover:
-            continue
-        if ev.drift_type is DriftType.SUDDEN:
-            level = p_new
-        elif ev.drift_type is DriftType.INCREMENTAL:
-            # The scene statistics shift faster than the confidence does, so
-            # the early transition already looks like the new distribution.
-            ramp = ev.transition_s / 2.0
-            frac = min(1.0, (t - ev.t) / ramp) if ramp > 0 else 1.0
-            level = p_old + (p_new - p_old) * frac
-        else:  # gradual: scene statistics only settle once the mixture does
-            level = p_new if t >= settle else p_old
-    return level
-
-
-def _drift_shift(spec: MobileEndSpec, t: float) -> float:
-    """Feature-space displacement of detections while a drift is active."""
-    for ev in spec.drift_events:
-        if ev.t <= t < ev.t + ev.transition_s + ev.recovery_s:
-            return ev.magnitude
-    return 0.0
-
-
 def gen_trace(
     spec: MobileEndSpec,
     seed: int,
@@ -249,32 +199,75 @@ def gen_trace(
     duration: float,
     sampler_cfg: Optional[SamplerConfig] = None,
 ) -> List[FrameRecord]:
-    """Deterministic per-frame trace realizing the end's declared drifts."""
+    """Deterministic per-frame trace realizing the end's declared drifts.
+
+    Each substream is drawn in one call, in the order a frame-by-frame loop
+    would draw it (CLC noise then pixel noise per frame; two detections of
+    ``FEATURE_DIM`` per frame).  While a drift is active the mean CLC and
+    pixel levels follow the last active event, and detections shift by the
+    magnitude of the first one.  A gradual drift mixes old and new regimes,
+    choosing the new one with a probability that rises over its transition.
+    """
     cfg = sampler_cfg or SamplerConfig()
     area = float(cfg.frame_w * cfg.frame_h)
     noise_rng = _stream(seed, end_index, 0)
     mix_rng = _stream(seed, end_index, 1)
     det_rng = _stream(seed, end_index, 2)
     model = default_centroids()
+    centroids = np.array([model.centroids[cat][0] for cat in (0, 1)])
 
-    n_frames = int(duration * spec.frame_rate)
-    frames = []
-    for i in range(n_frames):
-        t = (i + 1) / spec.frame_rate
-        mix = mix_rng.random()
-        level = _clc_level(spec, t, mix)
-        clc = min(1.0, max(1e-3, level + noise_rng.normal(0.0, 0.01)))
-        root = math.sqrt(clc)
-        pixel = max(0.0, _pixel_level(spec, t, area) + noise_rng.normal(0.0, 0.02 * area))
-        shift = _drift_shift(spec, t)
-        dets = []
-        for cat in (0, 1):
-            centroid = np.asarray(model.centroids[cat][0])
-            feat = centroid + shift + det_rng.normal(0.0, 0.03, size=FEATURE_DIM)
-            dets.append(Detection(category=cat, feature=tuple(float(x) for x in feat)))
-        frames.append(FrameRecord(t=t, cc=root, lc=root, pixel_diff=pixel,
-                                  detections=tuple(dets)))
-    return frames
+    n = max(0, int(duration * spec.frame_rate))
+    t = np.arange(1, n + 1) / spec.frame_rate
+    mix = mix_rng.random(n)
+    noise = noise_rng.normal(0.0, [0.01, 0.02 * area], size=(n, 2))
+    det_noise = det_rng.normal(0.0, 0.03, size=(n, 2, FEATURE_DIM))
+
+    base = spec.base_accuracy
+    p_old = PIXEL_OLD_FRACTION * area
+    p_new = PIXEL_NEW_FRACTION * area
+    level = np.full(n, base, dtype=float)
+    pixel = np.full(n, p_old)
+    shift = np.zeros(n)
+    shifted = np.zeros(n, dtype=bool)
+    for ev in spec.drift_events:
+        settle = ev.t + ev.transition_s
+        recover = settle + ev.recovery_s
+        active = (t >= ev.t) & (t < recover)
+        settled = active & (t >= settle)
+        ramping = active & ~settled  # empty unless transition_s > 0
+        dropped = base - ev.magnitude
+        shift[active & ~shifted] = ev.magnitude
+        shifted |= active
+        if ev.drift_type is DriftType.SUDDEN:
+            level[active] = dropped
+            pixel[active] = p_new
+        elif ev.drift_type is DriftType.INCREMENTAL:
+            level[settled] = dropped
+            level[ramping] = base - ev.magnitude * ((t[ramping] - ev.t) / ev.transition_s)
+            # The scene statistics shift faster than the confidence does, so
+            # the early transition already looks like the new distribution.
+            ramp = ev.transition_s / 2.0
+            frac = np.minimum(1.0, (t[active] - ev.t) / ramp) if ramp > 0 else 1.0
+            pixel[active] = p_old + (p_new - p_old) * frac
+        else:  # gradual: old/new mixture with rising new-regime probability
+            q = (t[ramping] - ev.t) / ev.transition_s
+            level[settled] = dropped
+            level[ramping] = np.where(mix[ramping] < q, dropped, base)
+            # scene statistics only settle once the mixture does
+            pixel[settled] = p_new
+            pixel[ramping] = p_old
+
+    root = np.sqrt(np.minimum(1.0, np.maximum(1e-3, level + noise[:, 0])))
+    pixel = np.maximum(0.0, pixel + noise[:, 1])
+    features = (centroids + shift[:, None, None]) + det_noise
+    return [
+        FrameRecord(t=t_i, cc=r, lc=r, pixel_diff=px, detections=(
+            Detection(category=0, feature=tuple(f0)),
+            Detection(category=1, feature=tuple(f1)),
+        ))
+        for t_i, r, px, (f0, f1) in zip(t.tolist(), root.tolist(),
+                                        pixel.tolist(), features.tolist())
+    ]
 
 
 # --- ground-truth retraining cost model -------------------------------------
@@ -508,7 +501,10 @@ class _Sim:
             self._on_trigger(t, end, event)
 
     def _on_trigger(self, t: float, end: _EndState, event: DriftEvent) -> None:
-        window = [f for f in end.trace if event.t1 <= f.t <= event.t3]
+        # the trace is time-ordered, so the window [t1, t3] is one slice
+        lo = bisect.bisect_left(end.trace, event.t1, key=attrgetter("t"))
+        hi = bisect.bisect_right(end.trace, event.t3, lo=lo, key=attrgetter("t"))
+        window = end.trace[lo:hi]
         if event.drift_type is DriftType.SUDDEN:
             selected = sample_sudden(window, self.sc.sampler.r_f)
         elif event.drift_type is DriftType.INCREMENTAL:

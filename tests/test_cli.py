@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import evosched
 from evosched import simenv
 from evosched.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, OUT_DIR_ENV, main
 from evosched.drift import DriftType, write_trace_csv
@@ -94,6 +98,18 @@ def test_sweep_runs_all(scenario_path, tmp_path):
     assert main(["sweep", "--sweep", str(listing), "--out", str(out)]) == EXIT_OK
     assert (out / "scenario_metrics.csv").exists()
     assert (out / "scenario_summary.json").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """Only curve fitting and regressor training need scipy, and it is slow
+    to import, so loading the CLI must not pull it in."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(evosched.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = "import sys, evosched.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
 
 
 class TestDriftDetect:

@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evosched.drift import DriftType
+from evosched.drift import Detection, DriftType, FrameRecord
 from evosched.profiler import LayerKind, LayerSpec, ModelArch
+from evosched.sampler import SamplerConfig
 from evosched.scheduler import EvolutionTask, GpuPool, RunningEntry
 from evosched.simenv import (
+    FEATURE_DIM,
     PIXEL_OLD_FRACTION,
     PIXEL_NEW_FRACTION,
     SCHEMA_VERSION,
@@ -16,7 +20,9 @@ from evosched.simenv import (
     Scenario,
     ServerSpec,
     _AccuracyModel,
+    _stream,
     admit,
+    default_centroids,
     gen_trace,
     ground_truth_retrain_seconds,
     run,
@@ -96,6 +102,123 @@ class TestGenTrace:
         assert a == b
         c = gen_trace(spec, seed=3, end_index=1, duration=100.0)
         assert a != c
+
+
+# --- reference trace synthesis ----------------------------------------------
+# The frame-by-frame loop ``gen_trace`` replaced: one draw per stream per
+# frame, and the drift events scanned for every frame.  ``gen_trace`` must
+# reproduce it exactly.
+
+def _reference_clc_level(spec, t, mix):
+    base = spec.base_accuracy
+    level = base
+    for ev in spec.drift_events:
+        settle = ev.t + ev.transition_s
+        recover = settle + ev.recovery_s
+        if t < ev.t or t >= recover:
+            continue
+        if t >= settle:
+            level = base - ev.magnitude
+        elif ev.drift_type is DriftType.SUDDEN:
+            level = base - ev.magnitude
+        elif ev.drift_type is DriftType.INCREMENTAL:
+            frac = (t - ev.t) / ev.transition_s if ev.transition_s > 0 else 1.0
+            level = base - ev.magnitude * frac
+        else:
+            q = (t - ev.t) / ev.transition_s if ev.transition_s > 0 else 1.0
+            level = base - ev.magnitude if mix < q else base
+    return level
+
+
+def _reference_pixel_level(spec, t, area):
+    p_old = PIXEL_OLD_FRACTION * area
+    p_new = PIXEL_NEW_FRACTION * area
+    level = p_old
+    for ev in spec.drift_events:
+        settle = ev.t + ev.transition_s
+        recover = settle + ev.recovery_s
+        if t < ev.t or t >= recover:
+            continue
+        if ev.drift_type is DriftType.SUDDEN:
+            level = p_new
+        elif ev.drift_type is DriftType.INCREMENTAL:
+            ramp = ev.transition_s / 2.0
+            frac = min(1.0, (t - ev.t) / ramp) if ramp > 0 else 1.0
+            level = p_old + (p_new - p_old) * frac
+        else:
+            level = p_new if t >= settle else p_old
+    return level
+
+
+def _reference_drift_shift(spec, t):
+    for ev in spec.drift_events:
+        if ev.t <= t < ev.t + ev.transition_s + ev.recovery_s:
+            return ev.magnitude
+    return 0.0
+
+
+def reference_gen_trace(spec, seed, end_index, duration, sampler_cfg=None):
+    cfg = sampler_cfg or SamplerConfig()
+    area = float(cfg.frame_w * cfg.frame_h)
+    noise_rng = _stream(seed, end_index, 0)
+    mix_rng = _stream(seed, end_index, 1)
+    det_rng = _stream(seed, end_index, 2)
+    model = default_centroids()
+
+    frames = []
+    for i in range(int(duration * spec.frame_rate)):
+        t = (i + 1) / spec.frame_rate
+        mix = mix_rng.random()
+        level = _reference_clc_level(spec, t, mix)
+        clc = min(1.0, max(1e-3, level + noise_rng.normal(0.0, 0.01)))
+        root = math.sqrt(clc)
+        pixel = max(0.0, _reference_pixel_level(spec, t, area)
+                    + noise_rng.normal(0.0, 0.02 * area))
+        shift = _reference_drift_shift(spec, t)
+        dets = []
+        for cat in (0, 1):
+            centroid = np.asarray(model.centroids[cat][0])
+            feat = centroid + shift + det_rng.normal(0.0, 0.03, size=FEATURE_DIM)
+            dets.append(Detection(category=cat, feature=tuple(float(x) for x in feat)))
+        frames.append(FrameRecord(t=t, cc=root, lc=root, pixel_diff=pixel,
+                                  detections=tuple(dets)))
+    return frames
+
+
+@st.composite
+def _trace_case(draw):
+    """An end with random, possibly overlapping drifts, and trace arguments.
+    Onsets and transition ends often fall exactly on frame times."""
+    frame_rate = draw(st.sampled_from([1.0, 2.5, 0.5, 3.0]) | st.floats(0.2, 5.0))
+    duration = draw(st.floats(1.0, 120.0))
+    n = int(duration * frame_rate)
+    on_frame = st.integers(0, n + 2).map(lambda k: k / frame_rate)
+    span = st.just(0.0) | on_frame | st.floats(0.0, 60.0)
+    events = sorted(
+        (draw(on_frame | st.floats(0.0, duration + 5.0)),
+         draw(st.sampled_from(list(DriftType))),
+         draw(st.floats(0.01, 0.99)), draw(span), draw(span))
+        for _ in range(draw(st.integers(0, 4)))
+    )
+    spec = MobileEndSpec(
+        end_id="e", arch=tiny_arch(), frame_rate=frame_rate,
+        base_accuracy=draw(st.floats(0.05, 1.0)),
+        drift_events=tuple(DriftInjection(t=t, drift_type=kind, magnitude=m,
+                                          transition_s=tr, recovery_s=rec)
+                           for t, kind, m, tr, rec in events))
+    cfg = SamplerConfig(frame_w=draw(st.integers(1, 2000)),
+                        frame_h=draw(st.integers(1, 2000)))
+    return spec, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 64)), duration, cfg
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_trace_case())
+def test_gen_trace_matches_reference_loop(case):
+    spec, seed, end_index, duration, cfg = case
+    got = gen_trace(spec, seed, end_index, duration, cfg)
+    want = reference_gen_trace(spec, seed, end_index, duration, cfg)
+    assert got == want
+    assert [repr(f) for f in got] == [repr(f) for f in want]
 
 
 class TestAccuracyModel:
