@@ -133,10 +133,6 @@ class DriftDetector:
         self._clc_prefix: list[float] = [0.0]  # prefix sums of CLC over _since_t1
         self._last_t = None
 
-    @property
-    def drifting(self) -> bool:
-        return self._drifting
-
     def update(self, frame: FrameRecord) -> Optional[DriftEvent]:
         cfg = self.config
         if self._last_t is not None and frame.t <= self._last_t:

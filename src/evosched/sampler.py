@@ -6,7 +6,6 @@ Sudden drift samples at a fixed rate, incremental drift ramps the rate up over
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
@@ -160,13 +159,3 @@ def sample_gradual(
     threshold = cfg.frame_w * cfg.frame_h * cfg.eps1
     survivors = [f for f in frames if f.pixel_diff >= threshold]
     return [f for f in survivors if feature_deviation(f, model) > cfg.eps2]
-
-
-def write_selection_manifest(path, frames: Sequence[FrameRecord], all_frames: Sequence[FrameRecord]) -> None:
-    """Audit CSV of selected frames: index in the source interval plus timestamp."""
-    index = {id(f): i for i, f in enumerate(all_frames)}
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame_index", "t"])
-        for f in frames:
-            writer.writerow([index.get(id(f), -1), repr(f.t)])

@@ -8,7 +8,6 @@ is then divided among admitted tasks in proportion to their memory demands.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -238,18 +237,3 @@ def allocate_compute(
         raise ValueError("compute_available must be positive")
     total_mem = sum(t.mem_demand for t in selected)
     return {t.id: compute_available * t.mem_demand / total_mem for t in selected}
-
-
-def log_decision(fh, decision_t: float, candidates: Sequence[EvolutionTask],
-                 result: SelectionResult, capacity_mb: float,
-                 shares: Optional[Dict[str, float]] = None) -> None:
-    """Append one JSON-lines audit record for a scheduling decision."""
-    record = {
-        "decision_t": decision_t,
-        "capacity_mb": capacity_mb,
-        "candidates": [t.id for t in candidates],
-        "selected": list(result.selected),
-        "total_value": result.total_value,
-        "shares": shares or {},
-    }
-    fh.write(json.dumps(record, sort_keys=True) + "\n")

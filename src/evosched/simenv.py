@@ -304,22 +304,18 @@ def synth_regressor_samples(n: int, seed: int) -> List[Tuple[List[float], float]
 # --- metrics ----------------------------------------------------------------
 
 @dataclass(frozen=True)
-class TaskMetrics:
+class TaskMetrics(LifeCycle):
+    """The life cycle one finished task closed, with the task that closed it."""
+
     task_id: str
     end_id: str
     urgency: float
     trigger_t: float
-    t_infer: float
-    t_upload: float
-    t_schedule: float
-    t_retrain: float
-    t_download: float
-    avg_accuracy: float
-    qoe: float
 
     @property
-    def t_evolve(self) -> float:
-        return self.t_upload + self.t_schedule + self.t_retrain + self.t_download
+    def qoe(self) -> float:
+        """QoE of this life cycle (:func:`qoe_single`)."""
+        return qoe_single(self)
 
 
 @dataclass(frozen=True)
@@ -393,12 +389,6 @@ class _AccuracyModel:
 
 # --- simulation -------------------------------------------------------------
 
-_EV_FRAME = "frame"
-_EV_UPLOAD = "upload"
-_EV_RETRAIN = "retrain"
-_EV_DOWNLOAD = "download"
-_EV_SCHEDULE = "schedule"
-
 BYTES_PER_MB = MB  # bandwidth figures are MiB/s
 
 
@@ -407,11 +397,7 @@ class _EndState:
     spec: MobileEndSpec
     index: int
     trace: List[FrameRecord]
-    detector: DriftDetector
     accuracy: _AccuracyModel
-    frame_idx: int = 0
-    busy: bool = False
-    resume_t: float = 0.0
     cycle_start: float = 0.0
     mem_demand_mb: float = 0.0
     param_bytes: float = 0.0
@@ -438,7 +424,7 @@ class _Sim:
         )
         self.queue: List[EvolutionTask] = []
         self.tasks: Dict[str, _TaskState] = {}
-        self.finished: List[Tuple[TaskMetrics, LifeCycle]] = []
+        self.finished: List[TaskMetrics] = []
         self.heap: List[tuple] = []
         self._seq = 0
         self._task_counter = 0
@@ -455,50 +441,52 @@ class _Sim:
             trace = gen_trace(spec, scenario.seed, i, scenario.duration, scenario.sampler)
             end = _EndState(
                 spec=spec, index=i, trace=trace,
-                detector=DriftDetector(scenario.detector),
                 accuracy=_AccuracyModel(spec),
                 mem_demand_mb=memory_demand(spec.arch).total_mb,
                 param_bytes=sum(param_count(l) for l in spec.arch.layers) * spec.arch.bitwidth / 8.0,
             )
             self.ends.append(end)
-            if trace:
-                self._push(trace[0].t, _EV_FRAME, end)
+            self._arm(0.0, end)
 
     # -- event plumbing --
 
-    def _push(self, t: float, kind: str, payload) -> None:
-        self._seq += 1
-        heapq.heappush(self.heap, (t, self._seq, kind, payload))
+    def _push(self, t: float, handler, *args, key: Optional[tuple] = None) -> None:
+        """Schedule ``handler(t, *args)``.  Events at the same ``t`` run in
+        ``key`` order; the default key is push order, after any trigger."""
+        if key is None:
+            self._seq += 1
+            key = (1, self._seq)
+        heapq.heappush(self.heap, (t, key, handler, args))
 
     def run(self) -> SimMetrics:
         while self.heap:
-            t, _, kind, payload = heapq.heappop(self.heap)
+            t, _, handler, args = heapq.heappop(self.heap)
             if t > self.sc.duration:
                 break
-            if kind == _EV_FRAME:
-                self._on_frame(t, payload)
-            elif kind == _EV_UPLOAD:
-                self._on_upload_done(t, payload)
-            elif kind == _EV_RETRAIN:
-                self._on_retrain_done(t, payload)
-            elif kind == _EV_DOWNLOAD:
-                self._on_download_done(t, payload)
-            elif kind == _EV_SCHEDULE:
-                self._admit(t)
+            handler(t, *args)
+        # Events left past the end hold bound methods of this simulation;
+        # dropping them lets its traces go without waiting for the cycle GC.
+        self.heap.clear()
         return self._collect()
 
     # -- mobile side --
 
-    def _on_frame(self, t: float, end: _EndState) -> None:
-        frame = end.trace[end.frame_idx]
-        end.frame_idx += 1
-        if end.frame_idx < len(end.trace):
-            self._push(end.trace[end.frame_idx].t, _EV_FRAME, end)
-        if end.busy or frame.t < end.resume_t:
-            return
-        event = end.detector.update(frame)
-        if event is not None:
-            self._on_trigger(t, end, event)
+    def _arm(self, t: float, end: _EndState) -> None:
+        """Feed the end's frames from ``t`` on to a fresh detector and push a
+        trigger at the frame where it fires.  An idle end's detector reads its
+        own trace only, so it can run ahead of the other events."""
+        detector = DriftDetector(self.sc.detector)
+        trace = end.trace
+        for i in range(bisect.bisect_left(trace, t, key=attrgetter("t")), len(trace)):
+            event = detector.update(trace[i])
+            if event is not None:
+                # Tied triggers run by the time of the end's previous frame,
+                # then by end index: the order of the per-frame loop that
+                # tests/test_simenv.py keeps as the reference.  A detector
+                # fires on its second frame at the earliest.
+                key = (0, trace[i - 1].t, end.index)
+                self._push(trace[i].t, self._on_trigger, end, event, key=key)
+                return
 
     def _on_trigger(self, t: float, end: _EndState, event: DriftEvent) -> None:
         # the trace is time-ordered, so the window [t1, t3] is one slice
@@ -513,7 +501,6 @@ class _Sim:
             selected = sample_gradual(window, self.sc.sampler, self.feature_model)
         n_frames = max(1, len(selected))
 
-        end.busy = True
         t_upload = n_frames * end.spec.frame_bytes / (self.sc.uplink_mbps * BYTES_PER_MB)
         work = (n_frames * self.sc.epochs * end.spec.work_per_frame
                 * self.sc.data_reduction)
@@ -537,7 +524,7 @@ class _Sim:
             task.group = assign_group(lam, self.boundaries)
         self.tasks[task.id] = _TaskState(task=task, end=end, trigger_t=t,
                                          t_upload=t_upload)
-        self._push(t + t_upload, _EV_UPLOAD, task.id)
+        self._push(t + t_upload, self._on_upload_done, task.id)
 
     # -- edge side --
 
@@ -545,8 +532,7 @@ class _Sim:
         self.queue.append(self.tasks[task_id].task)
         self._admit(t)
 
-    def _on_retrain_done(self, t: float, payload: Tuple[str, int]) -> None:
-        task_id, token = payload
+    def _on_retrain_done(self, t: float, task_id: str, token: int) -> None:
         if task_id not in self.pool.running or self.tasks[task_id].token != token:
             return  # superseded by a share change, or already finished
         self._advance(t)
@@ -561,7 +547,7 @@ class _Sim:
         if self.sc.policy in (Policy.ADAPTIVE, Policy.DP_NO_GROUPING) and self.pool.running:
             _, decision_t = decide_capacity(self.pool, self.sc.lookahead_factor, now=t)
             if decision_t > t + 1e-12:
-                self._push(decision_t, _EV_SCHEDULE, None)
+                self._push(decision_t, self._admit)
                 return
         self._admit(t)
 
@@ -571,7 +557,7 @@ class _Sim:
         ts.t_retrain = t - ts.admit_t
         t_download = (ts.end.param_bytes * self.sc.unfrozen_fraction
                       / (self.sc.downlink_mbps * BYTES_PER_MB))
-        self._push(t + t_download, _EV_DOWNLOAD, task_id)
+        self._push(t + t_download, self._on_download_done, task_id)
 
     def _on_download_done(self, t: float, task_id: str) -> None:
         ts = self.tasks[task_id]
@@ -582,32 +568,20 @@ class _Sim:
         end.accuracy.restore(t, restored)
 
         task = ts.task
-        cycle = LifeCycle(
+        self.finished.append(TaskMetrics(
             t_infer=max(0.0, ts.trigger_t - end.cycle_start),
             t_upload=ts.t_upload,
             t_schedule=ts.admit_t - task.arrival_t,
             t_retrain=ts.t_retrain,
             t_download=t - (ts.admit_t + ts.t_retrain),
             avg_accuracy=avg_acc,
-        )
-        self.finished.append((TaskMetrics(
             task_id=task.id,
             end_id=task.end_id,
             urgency=task.urgency,
             trigger_t=ts.trigger_t,
-            t_infer=cycle.t_infer,
-            t_upload=cycle.t_upload,
-            t_schedule=cycle.t_schedule,
-            t_retrain=cycle.t_retrain,
-            t_download=cycle.t_download,
-            avg_accuracy=avg_acc,
-            qoe=qoe_single(cycle),
-        ), cycle))
-
-        end.busy = False
-        end.resume_t = t
+        ))
         end.cycle_start = t
-        end.detector = DriftDetector(self.sc.detector)
+        self._arm(t, end)
 
     # -- admission and the completion engine --
 
@@ -640,7 +614,7 @@ class _Sim:
                 t_r=duration,
             )
             ts.token += 1
-            self._push(t + duration, _EV_RETRAIN, (tid, ts.token))
+            self._push(t + duration, self._on_retrain_done, tid, ts.token)
 
     # -- reporting --
 
@@ -648,9 +622,8 @@ class _Sim:
         if not self.finished:
             return SimMetrics(tasks=(), report=None, mean_evolving_time=0.0,
                               mean_t_schedule=0.0, mean_t_retrain=0.0)
-        rows = tuple(m for m, _ in self.finished)
-        cycles = [c for _, c in self.finished]
-        weights = penalty_weights_for_cycles(cycles)
+        rows = tuple(self.finished)
+        weights = penalty_weights_for_cycles(rows)
         report = penalized_average_qoe(
             ends=[(m.task_id, m.urgency, m.qoe) for m in rows],
             schedule_times=[m.t_schedule for m in rows],

@@ -12,7 +12,6 @@ from evosched.sampler import (
     sample_gradual,
     sample_incremental,
     sample_sudden,
-    write_selection_manifest,
 )
 
 
@@ -183,16 +182,6 @@ class TestSampleGradual:
                     and feature_deviation(f, model()) > self.CFG.eps2]
         assert picked == expected
         assert [f.t for f in picked] == [1.0, 4.0]
-
-
-def test_manifest_written(tmp_path):
-    frames = frames_at([1.0, 2.0, 3.0])
-    path = tmp_path / "manifest.csv"
-    write_selection_manifest(path, frames[::2], frames)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "frame_index,t"
-    assert lines[1].startswith("0,")
-    assert lines[2].startswith("2,")
 
 
 def test_config_validation():

@@ -1,6 +1,4 @@
-import io
 import itertools
-import json
 import math
 
 import numpy as np
@@ -17,7 +15,6 @@ from evosched.scheduler import (
     decide_capacity,
     group_boundaries,
     group_number,
-    log_decision,
     select_tasks,
 )
 
@@ -217,18 +214,6 @@ class TestAllocateCompute:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             allocate_compute([], 8.0)
-
-
-def test_log_decision_json_lines():
-    tasks = [task("a", 100, 10), task("b", 200, 20)]
-    result = select_tasks(tasks, 8192.0)
-    buf = io.StringIO()
-    log_decision(buf, 12.5, tasks, result, 8192.0,
-                 shares={"a": 4.0, "b": 4.0})
-    record = json.loads(buf.getvalue())
-    assert record["decision_t"] == 12.5
-    assert record["candidates"] == ["a", "b"]
-    assert set(record["selected"]) == {"a", "b"}
 
 
 def test_task_validation():

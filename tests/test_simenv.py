@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evosched.drift import Detection, DriftType, FrameRecord
-from evosched.profiler import LayerKind, LayerSpec, ModelArch
+from evosched.drift import Detection, DetectorConfig, DriftDetector, DriftType, FrameRecord
+from evosched.profiler import MB, LayerKind, LayerSpec, ModelArch
 from evosched.sampler import SamplerConfig
 from evosched.scheduler import EvolutionTask, GpuPool, RunningEntry
 from evosched.simenv import (
@@ -20,6 +20,7 @@ from evosched.simenv import (
     Scenario,
     ServerSpec,
     _AccuracyModel,
+    _Sim,
     _stream,
     admit,
     default_centroids,
@@ -351,6 +352,77 @@ def test_admit_respects_free_memory_and_compute(state):
         compute += sum(shares[task.id] for task in admitted)
         assert compute <= pool.compute_capacity * (1 + 1e-12)
         assert all(share > 0 for share in shares.values())
+
+
+# --- reference event loop ----------------------------------------------------
+# The per-frame loop ``_Sim._arm`` replaced: every frame of every end is one
+# heap event in push order, fed to the end's detector unless the end is busy
+# between its trigger and its download.  ``run`` must reproduce it exactly.
+
+class ReferenceSim(_Sim):
+    def __init__(self, scenario):
+        self.detectors = {}
+        self.busy = set()
+        super().__init__(scenario)
+
+    def _arm(self, t, end):
+        if end.index not in self.detectors and end.trace:
+            self._push(end.trace[0].t, self._on_frame, end, 0)
+        self.detectors[end.index] = DriftDetector(self.sc.detector)
+        self.busy.discard(end.index)
+
+    def _on_frame(self, t, end, i):
+        if i + 1 < len(end.trace):
+            self._push(end.trace[i + 1].t, self._on_frame, end, i + 1)
+        if end.index in self.busy:
+            return
+        event = self.detectors[end.index].update(end.trace[i])
+        if event is not None:
+            self.busy.add(end.index)
+            self._on_trigger(t, end, event)
+
+
+_FC_10240 = ModelArch(layers=(LayerSpec(kind=LayerKind.FC, c_in=10240, c_out=10240),),
+                      bitwidth=32, input_w=8, input_h=8)
+
+
+@st.composite
+def _tied_scenario(draw):
+    """Identical ends with equal drift onsets on whole seconds, except that
+    each end's first drift comes up to 30 s late, so the ends finish that
+    cycle in any order and then trigger together.  A frame uploads in 1 s, a
+    retrain with all compute takes 1 s per frame and a download 10 s, so
+    events of different ends tie."""
+    onsets = sorted(draw(st.sets(st.integers(1, 9).map(lambda k: 60.0 * k),
+                                 min_size=2, max_size=4)))
+    shared = [(t, draw(st.sampled_from(list(DriftType))),
+               draw(st.sampled_from([0.0, 10.0])), draw(st.sampled_from([20.0, 40.0])))
+              for t in onsets]
+    rate = draw(st.sampled_from([0.5, 1.0, 2.0]))
+
+    def end(i):
+        late = draw(st.sampled_from([0.0, 10.0, 20.0, 30.0]))
+        return MobileEndSpec(
+            end_id=f"e{i}", arch=_FC_10240, frame_rate=rate, frame_bytes=10 * MB,
+            drift_events=tuple(
+                DriftInjection(t=t + (late if j == 0 else 0.0), drift_type=kind,
+                               magnitude=0.5, transition_s=tr, recovery_s=rec)
+                for j, (t, kind, tr, rec) in enumerate(shared)),
+            decay=0.004, work_per_frame=0.8)
+
+    return Scenario(
+        seed=draw(st.integers(0, 2**16)), ends=tuple(end(i) for i in range(draw(st.integers(2, 4)))),
+        policy=draw(st.sampled_from(list(Policy))),
+        server=ServerSpec(mem_capacity_mb=draw(st.sampled_from([2100.0, 4200.0, 8400.0]))),
+        detector=DetectorConfig(window_frames=12, sub_windows=3, temp_window_frames=12,
+                                variance_threshold=2e-3, tau=20.0),
+        unfrozen_fraction=0.5, duration=600.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sc=_tied_scenario())
+def test_run_matches_per_frame_reference(sc):
+    assert run(sc) == ReferenceSim(sc).run()
 
 
 class TestRun:
