@@ -18,9 +18,11 @@ from .drift import (
     DriftEvent,
     DriftType,
     FrameRecord,
+    FrameTrace,
     classify_drift,
     clc,
     distribution_distance,
+    first_drift,
     read_trace_csv,
     rod,
     write_trace_csv,

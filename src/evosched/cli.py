@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import traceback
@@ -102,16 +103,23 @@ def cmd_schedule(args) -> int:
         raise ValueError("capacity must be positive MB")
     with open(args.tasks) as fh:
         doc = json.load(fh)
-    tasks = [
-        EvolutionTask(
-            id=rec["id"], end_id=rec.get("end_id", rec["id"]),
-            arrival_t=rec.get("arrival_t", 0.0),
-            urgency=rec.get("urgency", 50.0),
-            mem_demand=rec["mem_demand"],
-            predicted_t_r=rec["predicted_t_r"],
-        )
-        for rec in doc
-    ]
+    if not isinstance(doc, list):
+        raise ValueError(f"{args.tasks}: expected a JSON list of task records")
+    tasks = []
+    for i, rec in enumerate(doc):
+        try:
+            if not isinstance(rec, dict):
+                raise ValueError("not a JSON object")
+            rec = {"end_id": rec.get("id"), "arrival_t": 0.0, "urgency": 50.0, **rec}
+            if not isinstance(rec["id"], str) or not isinstance(rec["end_id"], str):
+                raise ValueError("id and end_id must be strings")
+            numbers = {k: rec[k] for k in ("arrival_t", "urgency", "mem_demand", "predicted_t_r")}
+            for k, x in numbers.items():
+                if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
+                    raise ValueError(f"{k} must be a finite number")
+            tasks.append(EvolutionTask(id=rec["id"], end_id=rec["end_id"], **numbers))
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"{args.tasks}: bad task record {i} {doc[i]!r}: {exc}") from exc
     result = select_tasks(tasks, args.capacity)
     print(json.dumps({
         "selected": list(result.selected),

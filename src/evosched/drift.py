@@ -4,14 +4,20 @@ The detector watches the product of classification and localization confidence
 (CLC) through two sliding windows: a frozen reference window and a trailing
 window.  A large relative drop marks the drift start t1; a temp window whose
 sub-window means stop varying marks the drift end t2 and the trigger point t3.
+:class:`DriftDetector` takes one frame at a time; :func:`first_drift` finds
+the same first event in a :class:`FrameTrace`, a trace held as arrays, with
+array operations.
 """
 from __future__ import annotations
 
 import csv
-from collections import deque
+import math
+from collections import abc, deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 
 class DriftType(str, Enum):
@@ -36,10 +42,71 @@ class FrameRecord:
     detections: tuple = ()
 
     def __post_init__(self):
+        if not math.isfinite(self.t):
+            raise ValueError("t must be finite")
         if not 0.0 <= self.cc <= 1.0 or not 0.0 <= self.lc <= 1.0:
             raise ValueError("cc and lc must be in [0, 1]")
-        if self.pixel_diff < 0:
-            raise ValueError("pixel_diff must be non-negative")
+        if not 0.0 <= self.pixel_diff < math.inf:
+            raise ValueError("pixel_diff must be finite and non-negative")
+
+
+class FrameTrace(abc.Sequence):
+    """A read-only, time-ordered frame sequence held as one array per field.
+
+    ``t``, ``cc``, ``lc`` and ``pixel_diff`` hold one value per frame, and
+    ``features[i, k]`` the feature vector of frame ``i``'s ``k``-th detection,
+    whose category is ``categories[k]``.  The checks :class:`FrameRecord`
+    makes, and strictly increasing times, are made once for the whole trace.
+    Indexing, slicing and iteration give :class:`FrameRecord` objects; compare
+    ``list(trace)`` for equality by value.
+    """
+
+    def __init__(self, t, cc, lc, pixel_diff, features, categories: Tuple[int, ...]):
+        if not np.all(np.isfinite(t)):
+            raise ValueError("t must be finite")
+        if not np.all((0.0 <= cc) & (cc <= 1.0) & (0.0 <= lc) & (lc <= 1.0)):
+            raise ValueError("cc and lc must be in [0, 1]")
+        if not np.all((0.0 <= pixel_diff) & (pixel_diff < math.inf)):
+            raise ValueError("pixel_diff must be finite and non-negative")
+        if np.any(np.diff(t) <= 0):
+            raise ValueError("frames must arrive in strictly increasing time order")
+        self.t, self.cc, self.lc, self.pixel_diff, self.features = (
+            t, cc, lc, pixel_diff, features)
+        self.clc = cc * lc  # what clc() gives for each frame
+        self.categories = tuple(categories)
+        for column in (t, cc, lc, pixel_diff, features, self.clc):
+            column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._records(index)
+        if not -len(self) <= index < len(self):
+            raise IndexError("frame index out of range")
+        index %= len(self)
+        return self._records(slice(index, index + 1))[0]
+
+    def __iter__(self):
+        return iter(self._records(slice(None)))
+
+    def _records(self, rows: slice) -> List[FrameRecord]:
+        # The values were checked for the whole trace, so the frozen records
+        # are filled in directly, without their __init__ and its checks.
+        new, cats, records = object.__new__, self.categories, []
+        for t, cc, lc, px, feats in zip(
+                self.t[rows].tolist(), self.cc[rows].tolist(), self.lc[rows].tolist(),
+                self.pixel_diff[rows].tolist(), self.features[rows].tolist()):
+            dets = []
+            for c, f in zip(cats, feats):
+                det = new(Detection)
+                det.__dict__.update(category=c, feature=tuple(f), confidence=1.0)
+                dets.append(det)
+            rec = new(FrameRecord)
+            rec.__dict__.update(t=t, cc=cc, lc=lc, pixel_diff=px, detections=tuple(dets))
+            records.append(rec)
+        return records
 
 
 @dataclass(frozen=True)
@@ -93,9 +160,11 @@ def distribution_distance(frames_a: Sequence[FrameRecord], frames_b: Sequence[Fr
     """Absolute difference of the mean per-frame pixel difference of two frame sets."""
     if not frames_a or not frames_b:
         raise ValueError("frame sets must be non-empty")
-    mean_a = sum(f.pixel_diff for f in frames_a) / len(frames_a)
-    mean_b = sum(f.pixel_diff for f in frames_b) / len(frames_b)
-    return abs(mean_a - mean_b)
+    return _mean_gap([f.pixel_diff for f in frames_a], [f.pixel_diff for f in frames_b])
+
+
+def _mean_gap(a: List[float], b: List[float]) -> float:
+    return abs(sum(a) / len(a) - sum(b) / len(b))
 
 
 def classify_drift(t1: float, t2: float, d: float, d0: float, tau: float) -> DriftType:
@@ -197,6 +266,99 @@ class DriftDetector:
         self._reset()
         self._last_t = last_t
         return event
+
+
+def first_drift(trace: FrameTrace, start: int,
+                config: DetectorConfig) -> Optional[Tuple[int, DriftEvent]]:
+    """The first event a fresh :class:`DriftDetector` emits when fed
+    ``trace[start]``, ``trace[start + 1]``, ..., with the index of the frame
+    that emits it; ``None`` if it emits none.
+
+    The detector's arithmetic is repeated float for float over the trace's
+    columns.  The scan reads a prefix of the rest of the trace and doubles it
+    until an event shows: an event depends on the frames up to its own only,
+    so the work stays proportional to the frames the detector would read.
+    """
+    if start < 0:
+        raise ValueError("start must be a frame index")
+    span = 4 * (config.window_frames + config.temp_window_frames)
+    while True:
+        stop = min(len(trace), start + span)
+        found = _scan(trace, start, stop, config)
+        if found is not None or stop == len(trace):
+            return found
+        span *= 2
+
+
+def _scan(trace: FrameTrace, start: int, stop: int,
+          cfg: DetectorConfig) -> Optional[Tuple[int, DriftEvent]]:
+    """:func:`first_drift` over frames ``start`` to ``stop - 1`` only."""
+    w = cfg.window_frames
+    v = trace.clc
+    ref = start + w  # the reference window is frames start .. ref - 1
+    if stop - ref < w:
+        return None
+    ref_mean = sum(v[start:ref].tolist()) / w
+    if ref_mean <= 0:
+        return None
+    # The trailing window's running sum, ``-= oldest`` then ``+= newest`` per
+    # frame, is one strictly left-to-right accumulation.
+    old, new = v[ref:stop - w], v[ref + w:stop]
+    steps = np.empty(w + 2 * len(new))
+    steps[:w] = v[ref:ref + w]
+    steps[w::2] = -old
+    steps[w + 1::2] = new
+    mean2 = np.add.accumulate(steps)[w - 1::2] / w  # at frames ref + w - 1 ...
+    dropped = np.flatnonzero((ref_mean - mean2) / ref_mean >= cfg.rod_threshold)
+    if not len(dropped):
+        return None
+    t1_at = ref + w - 1 + int(dropped[0])
+
+    # The detector's prefix sums of CLC from t1 on, and the mean of the
+    # sub-window at each offset j: (prefix[j + sub] - prefix[j]) / sub.
+    temp, parts = cfg.temp_window_frames, cfg.sub_windows
+    sub = temp // parts
+    # With n frames since t1 (n >= 2, from the frame after t1 on), the temp
+    # window's sub-window means are means[n - temp + i * sub], i < parts.
+    first_n, last_n = max(temp, 2), stop - t1_at
+    if last_n < first_n:
+        return None
+    prefix = np.add.accumulate(np.concatenate(([0.0], v[t1_at:stop])))
+    means = (prefix[sub:] - prefix[:-sub]) / sub
+    columns = [means[first_n - temp + i * sub:last_n - temp + 1 + i * sub]
+               for i in range(parts)]
+    grand = sum(columns) / parts
+    variance = sum((c - grand) ** 2 for c in columns) / parts
+    # These sums run in another order than the detector's, which may call a
+    # compensated sum, and square by multiplying where it calls pow: they can
+    # differ from its values by a few ulps, or by about (parts * eps) ** 2
+    # near a variance of 0, as CLC means are at most 1.  Frames below the
+    # margin are candidates, and the detector's own expression on Python
+    # floats decides.
+    margin = cfg.variance_threshold * (1 + 1e-9) + (2 * parts * np.finfo(float).eps) ** 2
+    for row in np.flatnonzero(variance < margin).tolist():
+        n = first_n + row
+        window = means[n - temp:n:sub].tolist()
+        grand_n = sum(window) / len(window)
+        if sum((m - grand_n) ** 2 for m in window) / len(window) < cfg.variance_threshold:
+            return _event(trace, start, t1_at, t1_at + n - temp, t1_at + n - 1, cfg)
+    return None
+
+
+def _event(trace: FrameTrace, start: int, t1_at: int, t2_at: int, t3_at: int,
+           cfg: DetectorConfig) -> Tuple[int, DriftEvent]:
+    """``DriftDetector._emit`` for a reference window of frames from
+    ``start`` on and the frames from ``t1_at`` to ``t3_at``."""
+    t, pixel = trace.t, trace.pixel_diff
+    t1, t2, t3 = float(t[t1_at]), float(t[t2_at]), float(t[t3_at])
+    half_end = (t1 + t2) / 2.0
+    first_half = max(1, int(np.searchsorted(t[t1_at:t3_at + 1], half_end, side="right")))
+    ref = pixel[start:start + cfg.window_frames].tolist()
+    d = _mean_gap(pixel[t1_at:t1_at + first_half].tolist(), ref)
+    d0 = cfg.d0_factor * _mean_gap(ref, pixel[t2_at:t3_at + 1].tolist())
+    return t3_at, DriftEvent(t1=t1, t2=t2, t3=t3,
+                             drift_type=classify_drift(t1, t2, d, d0, cfg.tau),
+                             d=d, d0=d0)
 
 
 # --- trace CSV format -------------------------------------------------------

@@ -8,14 +8,12 @@ knapsack pipeline.  Identical (scenario, seed) inputs give identical outputs.
 """
 from __future__ import annotations
 
-import bisect
 import csv
 import heapq
 import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,12 +28,11 @@ from .core import (
     urgency,
 )
 from .drift import (
-    Detection,
     DetectorConfig,
-    DriftDetector,
     DriftEvent,
     DriftType,
-    FrameRecord,
+    FrameTrace,
+    first_drift,
     write_trace_csv,
 )
 from .profiler import (
@@ -198,7 +195,7 @@ def gen_trace(
     end_index: int,
     duration: float,
     sampler_cfg: Optional[SamplerConfig] = None,
-) -> List[FrameRecord]:
+) -> FrameTrace:
     """Deterministic per-frame trace realizing the end's declared drifts.
 
     Each substream is drawn in one call, in the order a frame-by-frame loop
@@ -207,6 +204,8 @@ def gen_trace(
     pixel levels follow the last active event, and detections shift by the
     magnitude of the first one.  A gradual drift mixes old and new regimes,
     choosing the new one with a probability that rises over its transition.
+    Each frame's cc and lc are both the square root of its CLC, and it has
+    one detection of each category.
     """
     cfg = sampler_cfg or SamplerConfig()
     area = float(cfg.frame_w * cfg.frame_h)
@@ -260,14 +259,8 @@ def gen_trace(
     root = np.sqrt(np.minimum(1.0, np.maximum(1e-3, level + noise[:, 0])))
     pixel = np.maximum(0.0, pixel + noise[:, 1])
     features = (centroids + shift[:, None, None]) + det_noise
-    return [
-        FrameRecord(t=t_i, cc=r, lc=r, pixel_diff=px, detections=(
-            Detection(category=0, feature=tuple(f0)),
-            Detection(category=1, feature=tuple(f1)),
-        ))
-        for t_i, r, px, (f0, f1) in zip(t.tolist(), root.tolist(),
-                                        pixel.tolist(), features.tolist())
-    ]
+    return FrameTrace(t=t, cc=root, lc=root, pixel_diff=pixel, features=features,
+                      categories=(0, 1))
 
 
 # --- ground-truth retraining cost model -------------------------------------
@@ -396,7 +389,7 @@ BYTES_PER_MB = MB  # bandwidth figures are MiB/s
 class _EndState:
     spec: MobileEndSpec
     index: int
-    trace: List[FrameRecord]
+    trace: FrameTrace
     accuracy: _AccuracyModel
     cycle_start: float = 0.0
     mem_demand_mb: float = 0.0
@@ -472,26 +465,25 @@ class _Sim:
     # -- mobile side --
 
     def _arm(self, t: float, end: _EndState) -> None:
-        """Feed the end's frames from ``t`` on to a fresh detector and push a
-        trigger at the frame where it fires.  An idle end's detector reads its
-        own trace only, so it can run ahead of the other events."""
-        detector = DriftDetector(self.sc.detector)
-        trace = end.trace
-        for i in range(bisect.bisect_left(trace, t, key=attrgetter("t")), len(trace)):
-            event = detector.update(trace[i])
-            if event is not None:
-                # Tied triggers run by the time of the end's previous frame,
-                # then by end index: the order of the per-frame loop that
-                # tests/test_simenv.py keeps as the reference.  A detector
-                # fires on its second frame at the earliest.
-                key = (0, trace[i - 1].t, end.index)
-                self._push(trace[i].t, self._on_trigger, end, event, key=key)
-                return
+        """Push a trigger at the frame where a fresh detector, fed the end's
+        frames from ``t`` on, fires.  An idle end's detector reads its own
+        trace only, so it can run ahead of the other events."""
+        times = end.trace.t
+        found = first_drift(end.trace, int(np.searchsorted(times, t)), self.sc.detector)
+        if found is not None:
+            i, event = found
+            # Tied triggers run by the time of the end's previous frame, then
+            # by end index: the order of the per-frame loop that
+            # tests/test_simenv.py keeps as the reference.  A detector fires
+            # on its second frame at the earliest.
+            key = (0, float(times[i - 1]), end.index)
+            self._push(float(times[i]), self._on_trigger, end, event, key=key)
 
     def _on_trigger(self, t: float, end: _EndState, event: DriftEvent) -> None:
         # the trace is time-ordered, so the window [t1, t3] is one slice
-        lo = bisect.bisect_left(end.trace, event.t1, key=attrgetter("t"))
-        hi = bisect.bisect_right(end.trace, event.t3, lo=lo, key=attrgetter("t"))
+        times = end.trace.t
+        lo = int(np.searchsorted(times, event.t1, side="left"))
+        hi = int(np.searchsorted(times, event.t3, side="right"))
         window = end.trace[lo:hi]
         if event.drift_type is DriftType.SUDDEN:
             selected = sample_sudden(window, self.sc.sampler.r_f)

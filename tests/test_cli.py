@@ -138,6 +138,14 @@ class TestDriftDetect:
         path.write_text("t,cc,lc,pixel_diff,n_det\n1.0,oops,0.8,0,0\n")
         assert main(["drift-detect", "--trace", str(path)]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("row", ["nan,0.8,0.8,0,0", "1.0,0.8,0.8,nan,0",
+                                     "1.0,0.8,0.8,inf,0"])
+    def test_non_finite_frame_is_input_error(self, tmp_path, capsys, row):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"t,cc,lc,pixel_diff,n_det\n{row}\n")
+        assert main(["drift-detect", "--trace", str(path)]) == EXIT_INPUT
+        assert "line 2" in capsys.readouterr().err
+
 
 def test_profile_memory_matches_library(tmp_path, capsys):
     from evosched.profiler import memory_demand
@@ -176,6 +184,21 @@ class TestSchedule:
         path.write_text(json.dumps([{"id": "a"}]))
         rc = main(["schedule", "--tasks", str(path), "--capacity", "10"])
         assert rc == EXIT_INPUT
+
+    @pytest.mark.parametrize("tasks, bad", [
+        ([1, 2], "record 0 1"),
+        ([{"id": "a", "mem_demand": 10, "predicted_t_r": 1},
+          {"id": "b", "mem_demand": "big", "predicted_t_r": 1}], "record 1 {'id': 'b'"),
+        ([{"id": 7, "mem_demand": 10, "predicted_t_r": 1}], "record 0"),
+        ({"id": "a", "mem_demand": 10, "predicted_t_r": 1}, "JSON list"),
+    ])
+    def test_malformed_record_is_input_error(self, tmp_path, capsys, tasks, bad):
+        path = tmp_path / "tasks.json"
+        path.write_text(json.dumps(tasks))
+        rc = main(["schedule", "--tasks", str(path), "--capacity", "10"])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and bad in err
 
 
 def test_gen_traces_deterministic(scenario_path, tmp_path):

@@ -1,17 +1,24 @@
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from evosched import drift
 from evosched.drift import (
     Detection,
     DetectorConfig,
     DriftDetector,
     DriftType,
     FrameRecord,
+    FrameTrace,
     classify_drift,
     clc,
     distribution_distance,
+    first_drift,
     read_trace_csv,
     rod,
     write_trace_csv,
@@ -186,3 +193,166 @@ class TestTraceCsv:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="header"):
             read_trace_csv(path)
+
+
+# --- the columnar trace and the array scan -------------------------------------
+
+def columnar(t, cc, lc, pixel):
+    t, cc, lc, pixel = (np.asarray(x, dtype=float) for x in (t, cc, lc, pixel))
+    return FrameTrace(t=t, cc=cc, lc=lc, pixel_diff=pixel,
+                      features=np.zeros((len(t), 1, 2)), categories=(3,))
+
+
+class TestFrameTrace:
+    def test_records_match_columns(self):
+        trace = FrameTrace(t=np.array([1.0, 2.0, 3.0]), cc=np.array([0.5, 0.6, 0.7]),
+                           lc=np.array([0.9, 0.8, 0.7]), pixel_diff=np.array([1.0, 2.0, 3.0]),
+                           features=np.arange(12.0).reshape(3, 2, 2), categories=(0, 1))
+        want = [FrameRecord(t=float(i + 1), cc=cc, lc=lc, pixel_diff=float(i + 1), detections=(
+                    Detection(category=0, feature=(4.0 * i, 4.0 * i + 1)),
+                    Detection(category=1, feature=(4.0 * i + 2, 4.0 * i + 3))))
+                for i, (cc, lc) in enumerate([(0.5, 0.9), (0.6, 0.8), (0.7, 0.7)])]
+        assert len(trace) == 3
+        assert list(trace) == want and [repr(f) for f in trace] == [repr(f) for f in want]
+        assert trace[1] == want[1] and trace[-1] == want[2]
+        assert trace[1:] == want[1:] and trace[::-2] == want[::-2]
+        assert list(trace.clc) == [clc(f) for f in want]
+        with pytest.raises(IndexError):
+            trace[3]
+        with pytest.raises(ValueError):
+            trace.t[0] = 5.0
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("cc", 1.5, "cc and lc"), ("lc", -0.1, "cc and lc"), ("cc", math.nan, "cc and lc"),
+        ("pixel", -1.0, "pixel_diff"), ("pixel", math.nan, "pixel_diff"),
+        ("pixel", math.inf, "pixel_diff"), ("t", math.nan, "t must be finite"),
+        ("t", math.inf, "t must be finite"), ("t", 1.0, "increasing"),
+    ])
+    def test_bad_frame_rejected(self, column, value, message):
+        cols = {"t": [1.0, 2.0, 3.0], "cc": [0.5] * 3, "lc": [0.5] * 3, "pixel": [1.0] * 3}
+        cols[column][1] = value
+        with pytest.raises(ValueError, match=message):
+            columnar(cols["t"], cols["cc"], cols["lc"], cols["pixel"])
+
+    @pytest.mark.parametrize("field, value", [
+        ("t", math.nan), ("t", math.inf), ("pixel_diff", math.nan),
+        ("pixel_diff", math.inf), ("pixel_diff", -1.0), ("cc", math.nan),
+    ])
+    def test_non_finite_frame_record_rejected(self, field, value):
+        fields = dict(t=1.0, cc=0.5, lc=0.5, pixel_diff=1.0)
+        fields[field] = value
+        with pytest.raises(ValueError):
+            FrameRecord(**fields)
+
+
+def test_first_drift_start_checked():
+    trace = columnar([1.0, 2.0], [0.5] * 2, [0.5] * 2, [1.0] * 2)
+    assert first_drift(trace, 2, SMALL_CFG) is None
+    with pytest.raises(ValueError, match="start"):
+        first_drift(trace, -1, SMALL_CFG)
+
+
+def _stream_events(trace, start, cfg):
+    """(index, event) for every event one streaming detector emits over the
+    frames from ``start`` on; after an event it goes on from a fresh state."""
+    detector = DriftDetector(cfg)
+    return [(i, event) for i, frame in enumerate(trace[start:], start)
+            if (event := detector.update(frame)) is not None]
+
+
+def _scan_events(trace, start, cfg):
+    """The same from ``first_drift``, re-armed at the frame after each event."""
+    events = []
+    while (found := first_drift(trace, start, cfg)) is not None:
+        events.append(found)
+        start = found[0] + 1
+    return events
+
+
+def _realised_rods(frames, cfg):
+    """Every relative drop a detector that never fires computes."""
+    rods = []
+
+    def recording(clc1, clc2):
+        rods.append(rod(clc1, clc2))
+        return rods[-1]
+
+    detector = DriftDetector(replace(cfg, rod_threshold=2.0))  # rod never exceeds 1
+    with mock.patch.object(drift, "rod", recording):
+        for frame in frames:
+            detector.update(frame)
+    return rods
+
+
+def _realised_variances(frames, cfg):
+    """The variance a detector tests at each frame of its first drift, up to
+    its first event, recomputed from its prefix sums as it computes it."""
+    detector = DriftDetector(cfg)
+    sub = cfg.temp_window_frames // cfg.sub_windows
+    variances = []
+    for frame in frames:
+        was_drifting = detector._drifting
+        if detector.update(frame) is not None:
+            break
+        prefix = detector._clc_prefix
+        start = len(prefix) - 1 - cfg.temp_window_frames
+        if was_drifting and start >= 0:
+            means = [(prefix[start + i * sub + sub] - prefix[start + i * sub]) / sub
+                     for i in range(cfg.sub_windows)]
+            grand = sum(means) / len(means)
+            variances.append(sum((m - grand) ** 2 for m in means) / len(means))
+    return variances
+
+
+@st.composite
+def _scan_case(draw):
+    """A trace whose CLC level takes turns between high and low, in steps or
+    ramps, with or without noise, a start frame, and a detector config with
+    windows from 2 to 90 frames; some traces are shorter than two windows."""
+    window = draw(st.integers(2, 90))
+    parts = draw(st.sampled_from([1, 3, 12]))
+    temp = parts * draw(st.integers(1, 90 // parts))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if rng.random() < 0.2:
+        n = int(rng.integers(1, 2 * window))
+    else:
+        n = int(rng.integers(2 * window + temp, 6 * (window + temp)))
+    level, pixel = np.empty(n), np.empty(n)
+    i, prev, high = 0, 0.9, True
+    while i < n:
+        length = int(rng.integers(max(window, temp) // 2 + 1, 3 * max(window, temp)))
+        new = rng.uniform(0.6, 0.95) if high else rng.uniform(0.1, 0.5)
+        ramp = np.linspace(prev, new, length) if rng.random() < 0.4 else np.full(length, new)
+        level[i:i + length] = ramp[:n - i]
+        pixel[i:i + length] = rng.uniform(0.0, 5000.0)
+        i, prev, high = i + length, new, not high
+    noise = rng.choice([0.0, 0.005, 0.03])
+    cc = np.clip(np.sqrt(level) + rng.normal(0.0, noise, n), 0.0, 1.0)
+    lc = np.clip(np.sqrt(level) + rng.normal(0.0, noise, n), 0.0, 1.0)
+    pixel = np.maximum(0.0, pixel + rng.normal(0.0, 50.0, n))
+    t = np.arange(1, n + 1) / draw(st.sampled_from([1.0, 2.5]))
+    cfg = DetectorConfig(window_frames=window, sub_windows=parts, temp_window_frames=temp,
+                         rod_threshold=draw(st.floats(0.01, 0.6)),
+                         variance_threshold=10.0 ** draw(st.floats(-7.0, -2.0)),
+                         tau=draw(st.floats(1.0, 200.0)), d0_factor=draw(st.floats(0.05, 2.0)))
+    return columnar(t, cc, lc, pixel), int(rng.integers(0, n // 4 + 1)), cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_scan_case(), data=st.data())
+def test_first_drift_matches_streaming_detector(case, data):
+    """Every event, float for float, also when a threshold is a value the
+    detector computed, so that decisions fall on its >= and < boundaries."""
+    trace, start, cfg = case
+    frames = trace[start:]
+    if data.draw(st.booleans(), label="rod threshold on a realised drop"):
+        drops = [r for r in _realised_rods(frames, cfg) if r > 0]
+        if drops:
+            cfg = replace(cfg, rod_threshold=max(drops))
+    if data.draw(st.booleans(), label="variance threshold on a realised variance"):
+        variances = _realised_variances(frames, replace(cfg, variance_threshold=1e-300))
+        lows = [v for k, v in enumerate(variances) if v > 0 and v <= min(variances[:k + 1])]
+        if lows:
+            cfg = replace(cfg, variance_threshold=data.draw(st.sampled_from(lows)))
+    got, want = _scan_events(trace, start, cfg), _stream_events(trace, start, cfg)
+    assert got == want and repr(got) == repr(want)

@@ -1,14 +1,16 @@
 """Golden output digests.
 
 The sha256 of ``metrics.csv`` followed by ``summary.json`` for every policy on
-five scenarios, and of every end's ``gen-traces`` CSV on two of them.  The
+six scenarios, and of every end's ``gen-traces`` CSV on two of them.  The
 bench and contended digests were recorded before the five policies shared one
 admission function and one completion engine; the mixed-drift and trace
 digests before trace synthesis became array code; the contended-2 and
-whole-second digests while every frame was still one heap event.  The last
-two pin the order of triggers that tie: a loop that runs triggers in the
-order their ends became idle moves the contended-2 default-gpu and
-serial-fifo digests and all five whole-second ones.  A change to the simulator
+whole-second digests while every frame was still one heap event; the
+fleet-like digests while the simulator still fed every frame to a streaming
+``DriftDetector``.  The contended-2 and whole-second digests pin the order
+of triggers that tie: a loop that runs triggers in the order their ends
+became idle moves the contended-2 default-gpu and serial-fifo digests and
+all five whole-second ones.  A change to the simulator
 that moves any output byte, even by one ulp, fails here; if the change is
 meant to move outputs, record the new digests and say why in CHANGES.md.
 """
@@ -17,7 +19,7 @@ from dataclasses import replace
 
 import pytest
 
-from evosched.drift import DriftType
+from evosched.drift import DetectorConfig, DriftType
 from evosched.profiler import MB, AccuracyCurve, LayerKind, LayerSpec, ModelArch
 from evosched.simenv import (
     DriftInjection,
@@ -115,6 +117,33 @@ def whole_second_scenario(seed=0):
                     detector=BENCH_DETECTOR, unfrozen_fraction=0.5, duration=1100.0)
 
 
+FLEET_LIKE_DETECTOR = DetectorConfig(window_frames=60, sub_windows=12, temp_window_frames=120,
+                                     rod_threshold=0.05, variance_threshold=2e-4, tau=90.0)
+
+
+def fleet_like_scenario(seed=4):
+    """Twelve ends on two GPUs with the fleet benchmark's detector: twelve
+    sub-windows in the temp window and a rod threshold of 0.05.  Sudden,
+    incremental and gradual drifts take turns over the ends at staggered
+    onsets, every other end drifts a second time, and models of 1.4-6.7 GB
+    queue for memory and compute."""
+    shapes = ((DriftType.SUDDEN, 0.3, 0.0), (DriftType.INCREMENTAL, 0.3, 180.0),
+              (DriftType.GRADUAL, 0.5, 160.0))
+    ends = []
+    for j in range(12):
+        kind, magnitude, transition = shapes[j % 3]
+        onsets = (60.0 + 23.0 * j, 760.0 + 17.0 * j) if j % 2 == 0 else (60.0 + 23.0 * j,)
+        ends.append(MobileEndSpec(
+            end_id=f"end{j:02d}", arch=fc_arch_with_memory(1400.0 + 480.0 * ((5 * j) % 12)),
+            drift_events=tuple(DriftInjection(t=t, drift_type=kind, magnitude=magnitude,
+                                              transition_s=transition, recovery_s=250.0)
+                               for t in onsets),
+            decay=0.0005 + 0.0008 * ((7 * j) % 12), work_per_frame=0.5 + 0.25 * ((3 * j) % 12),
+            gain_curve_truth=AccuracyCurve(a_max=0.98, b=0.5, c=1.0)))
+    return Scenario(seed=seed, ends=tuple(ends), detector=FLEET_LIKE_DETECTOR,
+                    server=ServerSpec(gpu_count=2), duration=1300.0)
+
+
 DIGESTS = {
     "bench-0": {
         "adaptive": "9162d437e39a1d78f06902ac84d643392198747e315556b6565b936edf04ae14",
@@ -151,6 +180,13 @@ DIGESTS = {
         "serial-priority": "8e25dd49fbe76e1e5844ee8116361d4be87ef66208da0df638043dca664399ca",
         "dp-no-grouping": "5a756939c1d2885515fa000d4ba1908621432bca0d6c543790b1c33151a1e3a5",
     },
+    "fleet-like": {
+        "adaptive": "4020f91245adc4af4476f265c9b38abf683eb95b1734c3eecf9f9b0dcd4b5fea",
+        "default-gpu": "474785ec1b538189870196a5883fcc92c9800c698904c6e1c30c902043c9a073",
+        "serial-fifo": "dd5cc5590202843b7180820a15c5845d8b63c6c68bd1a9a44ecfed149877c99a",
+        "serial-priority": "21b29c8856888c1df360621d1d7dbc0110e632b8f8526584f02fc0584de35f4e",
+        "dp-no-grouping": "f41b66aa119e198d104da4544b21b7dcc18777c1690da07e38dad062ceea6f2b",
+    },
 }
 
 TRACE_DIGESTS = {
@@ -160,7 +196,8 @@ TRACE_DIGESTS = {
 
 SCENARIOS = {"bench-0": lambda: bench_scenario(0), "contended": contended_scenario,
              "contended-2": lambda: replace(contended_scenario(), seed=2),
-             "mixed-drift": mixed_drift_scenario, "whole-second-0": whole_second_scenario}
+             "mixed-drift": mixed_drift_scenario, "whole-second-0": whole_second_scenario,
+             "fleet-like": fleet_like_scenario}
 
 
 def output_digest(scenario, tmp_path):

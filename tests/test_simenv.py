@@ -100,9 +100,9 @@ class TestGenTrace:
         spec = sudden_end()
         a = gen_trace(spec, seed=3, end_index=0, duration=100.0)
         b = gen_trace(spec, seed=3, end_index=0, duration=100.0)
-        assert a == b
+        assert list(a) == list(b)
         c = gen_trace(spec, seed=3, end_index=1, duration=100.0)
-        assert a != c
+        assert list(a) != list(c)
 
 
 # --- reference trace synthesis ----------------------------------------------
@@ -218,7 +218,7 @@ def test_gen_trace_matches_reference_loop(case):
     spec, seed, end_index, duration, cfg = case
     got = gen_trace(spec, seed, end_index, duration, cfg)
     want = reference_gen_trace(spec, seed, end_index, duration, cfg)
-    assert got == want
+    assert list(got) == want
     assert [repr(f) for f in got] == [repr(f) for f in want]
 
 
@@ -356,27 +356,32 @@ def test_admit_respects_free_memory_and_compute(state):
 
 # --- reference event loop ----------------------------------------------------
 # The per-frame loop ``_Sim._arm`` replaced: every frame of every end is one
-# heap event in push order, fed to the end's detector unless the end is busy
-# between its trigger and its download.  ``run`` must reproduce it exactly.
+# heap event in push order, fed as a ``FrameRecord`` to the end's streaming
+# detector unless the end is busy between its trigger and its download.
+# ``run`` must reproduce it exactly.
 
 class ReferenceSim(_Sim):
     def __init__(self, scenario):
+        self.frames = {}
         self.detectors = {}
         self.busy = set()
         super().__init__(scenario)
 
     def _arm(self, t, end):
-        if end.index not in self.detectors and end.trace:
-            self._push(end.trace[0].t, self._on_frame, end, 0)
+        if end.index not in self.frames:
+            self.frames[end.index] = frames = list(end.trace)
+            if frames:
+                self._push(frames[0].t, self._on_frame, end, 0)
         self.detectors[end.index] = DriftDetector(self.sc.detector)
         self.busy.discard(end.index)
 
     def _on_frame(self, t, end, i):
-        if i + 1 < len(end.trace):
-            self._push(end.trace[i + 1].t, self._on_frame, end, i + 1)
+        frames = self.frames[end.index]
+        if i + 1 < len(frames):
+            self._push(frames[i + 1].t, self._on_frame, end, i + 1)
         if end.index in self.busy:
             return
-        event = self.detectors[end.index].update(end.trace[i])
+        event = self.detectors[end.index].update(frames[i])
         if event is not None:
             self.busy.add(end.index)
             self._on_trigger(t, end, event)
@@ -467,7 +472,7 @@ class TestRun:
         spec = sudden_end()
         a = gen_trace(spec, seed=7, end_index=0, duration=100.0)
         b = gen_trace(spec, seed=8, end_index=0, duration=100.0)
-        assert a != b
+        assert list(a) != list(b)
 
     def test_quiet_scenario_no_tasks(self):
         spec = MobileEndSpec(end_id="e", arch=tiny_arch(), drift_events=())
