@@ -55,10 +55,13 @@ class FrameTrace(abc.Sequence):
 
     ``t``, ``cc``, ``lc`` and ``pixel_diff`` hold one value per frame, and
     ``features[i, k]`` the feature vector of frame ``i``'s ``k``-th detection,
-    whose category is ``categories[k]``.  The checks :class:`FrameRecord`
-    makes, and strictly increasing times, are made once for the whole trace.
-    Indexing, slicing and iteration give :class:`FrameRecord` objects; compare
-    ``list(trace)`` for equality by value.
+    whose category is ``categories[k]``.  ``features`` may be given as a
+    function of no arguments that returns that array: it is called on the
+    first read of ``features``, so a trace whose features are never read
+    never computes them.  The checks :class:`FrameRecord` makes, and strictly
+    increasing times, are made once for the whole trace.  Indexing, slicing
+    and iteration give :class:`FrameRecord` objects; compare ``list(trace)``
+    for equality by value.
     """
 
     def __init__(self, t, cc, lc, pixel_diff, features, categories: Tuple[int, ...]):
@@ -70,12 +73,46 @@ class FrameTrace(abc.Sequence):
             raise ValueError("pixel_diff must be finite and non-negative")
         if np.any(np.diff(t) <= 0):
             raise ValueError("frames must arrive in strictly increasing time order")
-        self.t, self.cc, self.lc, self.pixel_diff, self.features = (
-            t, cc, lc, pixel_diff, features)
+        self._fill(t, cc, lc, pixel_diff, features, tuple(categories))
+
+    def _fill(self, t, cc, lc, pixel_diff, features, categories) -> None:
+        self.t, self.cc, self.lc, self.pixel_diff = t, cc, lc, pixel_diff
         self.clc = cc * lc  # what clc() gives for each frame
-        self.categories = tuple(categories)
-        for column in (t, cc, lc, pixel_diff, features, self.clc):
+        self.categories = categories
+        self._features = features
+        for column in (t, cc, lc, pixel_diff, self.clc):
             column.flags.writeable = False
+        if not callable(features):
+            features.flags.writeable = False
+
+    @property
+    def features(self) -> np.ndarray:
+        if callable(self._features):
+            self._features = self._features()
+            self._features.flags.writeable = False
+        return self._features
+
+    def take(self, rows) -> "FrameTrace":
+        """The frames at ``rows``, a slice with a positive step or strictly
+        increasing indices, as a trace that needs no checks of its own.
+        Unread features stay unread."""
+        if isinstance(rows, slice):
+            if rows.step is not None and rows.step <= 0:
+                raise ValueError("a slice of frames needs a positive step")
+        else:
+            rows = np.asarray(rows, dtype=np.intp)
+            if len(rows) and (rows[0] < 0 or np.any(np.diff(rows) <= 0)):
+                raise ValueError("frame indices must be non-negative and increasing")
+        features = self._features
+        if callable(features):
+            def features():
+                return self.features[rows]
+        else:
+            features = features[rows]
+        sub = object.__new__(FrameTrace)
+        sub._fill(self.t[rows], self.cc[rows], self.lc[rows], self.pixel_diff[rows],
+                  features, self.categories)
+        return sub
 
     def __len__(self) -> int:
         return len(self.t)
@@ -120,6 +157,9 @@ class DetectorConfig:
     d0_factor: float = 0.2
 
     def __post_init__(self):
+        for name in ("rod_threshold", "variance_threshold", "tau", "d0_factor"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if min(self.window_frames, self.sub_windows, self.temp_window_frames) <= 0:
             raise ValueError("window sizes must be positive")
         if self.rod_threshold <= 0 or self.variance_threshold <= 0:

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
-from .drift import FrameRecord
+import numpy as np
+
+from .drift import FrameRecord, FrameTrace
 
 RATE_STEP_SECONDS = 30.0  # segment length of the linear-rate schedule
 
@@ -27,6 +29,11 @@ class SamplerConfig:
     frame_h: int = 720
 
     def __post_init__(self):
+        for name in ("r_f", "r0", "delta_r", "r_max", "eps1", "eps2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.r_f <= 0:
+            raise ValueError("r_f must be positive")
         if not 0 < self.r0 <= self.r_max:
             raise ValueError("need 0 < r0 <= r_max")
         if self.delta_r < 0:
@@ -50,31 +57,55 @@ class GlobalFeatureModel:
             raise KeyError(f"unknown detection category {category!r}") from None
 
 
-def _pick_at_times(frames: Sequence[FrameRecord], targets: Sequence[float]) -> List[FrameRecord]:
-    """For each target time, pick the first not-yet-taken frame at or after it."""
-    picked = []
-    idx = 0
-    for target in targets:
-        while idx < len(frames) and frames[idx].t < target:
-            idx += 1
-        if idx >= len(frames):
-            break
-        picked.append(frames[idx])
-        idx += 1
-    return picked
+def _select(frames, rows: np.ndarray):
+    """The frames at ``rows``: a :class:`FrameTrace` of them for a trace, and
+    the same record objects for a record sequence."""
+    if isinstance(frames, FrameTrace):
+        return frames.take(rows)
+    return [frames[i] for i in rows.tolist()]
 
 
-def sample_sudden(frames: Sequence[FrameRecord], r_f: float) -> List[FrameRecord]:
-    """Uniform selection at rate ``r_f`` fps, anchored at the first frame."""
-    if not frames:
-        return []
-    if r_f <= 0:
-        raise ValueError("sampling rate must be positive")
-    t0 = frames[0].t
-    span = frames[-1].t - t0
-    count = max(1, math.ceil(r_f * span))
-    targets = [t0 + k / r_f for k in range(count)]
-    return _pick_at_times(frames, targets)
+def _times(frames) -> np.ndarray:
+    """The time column of a trace or of a time-ordered record sequence."""
+    if isinstance(frames, FrameTrace):
+        return frames.t
+    times = np.fromiter((f.t for f in frames), dtype=float, count=len(frames))
+    if np.any(np.diff(times) < 0):
+        raise ValueError("frames must be in time order")
+    return times
+
+
+def _pick_at_times(times: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """For each increasing target time, the row of the first not-yet-taken
+    frame at or after it, stopping at the first target no frame is left for.
+
+    Row ``k`` is ``max(first row at or after target k, row k-1 + 1)``, that
+    is ``k + max(first[j] - j for j <= k)``: one running maximum.
+    """
+    first = np.searchsorted(times, targets, side="left")
+    steps = np.arange(len(first))
+    rows = np.maximum.accumulate(first - steps) + steps
+    return rows[:np.searchsorted(rows, len(times))]
+
+
+def _sudden_rows(times: np.ndarray, r_f: float) -> np.ndarray:
+    if not len(times):
+        return np.zeros(0, dtype=np.intp)
+    if not 0 < r_f < math.inf:
+        raise ValueError("sampling rate must be finite and positive")
+    t0 = float(times[0])
+    wanted = r_f * (float(times[-1]) - t0)
+    # Every target takes a frame or ends the picks, so targets past the
+    # number of frames change nothing.
+    count = len(times) if wanted >= len(times) else max(1, math.ceil(wanted))
+    return _pick_at_times(times, t0 + np.arange(count) / r_f)
+
+
+def sample_sudden(frames: Sequence[FrameRecord], r_f: float):
+    """Uniform selection at rate ``r_f`` fps, anchored at the first frame.
+    ``frames`` is time-ordered: a :class:`FrameTrace` or a record sequence,
+    and the picks come back in the same form."""
+    return _select(frames, _sudden_rows(_times(frames), r_f))
 
 
 def linear_rate(t: float, t1: float, cfg: SamplerConfig) -> float:
@@ -85,27 +116,32 @@ def linear_rate(t: float, t1: float, cfg: SamplerConfig) -> float:
     return min(cfg.r_max, cfg.r0 + steps * cfg.delta_r)
 
 
-def sample_incremental(frames: Sequence[FrameRecord], cfg: SamplerConfig) -> List[FrameRecord]:
-    """Piecewise-uniform selection whose rate follows the linear schedule."""
-    if not frames:
-        return []
-    t1 = frames[0].t
-    t_end = frames[-1].t
+def _incremental_rows(times: np.ndarray, cfg: SamplerConfig) -> np.ndarray:
+    if not len(times):
+        return np.zeros(0, dtype=np.intp)
+    t1, t_end = float(times[0]), float(times[-1])
     if t_end == t1:
-        return [frames[0]]
-    picked: List[FrameRecord] = []
+        return np.zeros(1, dtype=np.intp)
+    picked = []
     seg_start = t1
     while seg_start < t_end:
         # Trailing partial segments contribute proportionally fewer picks.
         seg_len = min(RATE_STEP_SECONDS, t_end - seg_start)
-        rate = linear_rate(seg_start, t1, cfg)
-        n = round(rate * seg_len)
-        seg_frames = [f for f in frames if seg_start <= f.t < seg_start + RATE_STEP_SECONDS]
-        if n > 0 and seg_frames:
-            targets = [seg_start + j * seg_len / n for j in range(n)]
-            picked.extend(_pick_at_times(seg_frames, targets))
+        n = round(linear_rate(seg_start, t1, cfg) * seg_len)
+        lo, hi = np.searchsorted(times, (seg_start, seg_start + RATE_STEP_SECONDS))
+        if n > 0 and hi > lo:
+            # as in _sudden_rows, targets past the segment's frames change nothing
+            steps = np.arange(min(n, hi - lo))
+            picked.append(lo + _pick_at_times(times[lo:hi], seg_start + steps * seg_len / n))
         seg_start += RATE_STEP_SECONDS
-    return picked
+    return np.concatenate(picked) if picked else np.zeros(0, dtype=np.intp)
+
+
+def sample_incremental(frames: Sequence[FrameRecord], cfg: SamplerConfig):
+    """Piecewise-uniform selection whose rate follows the linear schedule.
+    ``frames`` is time-ordered: a :class:`FrameTrace` or a record sequence,
+    and the picks come back in the same form."""
+    return _select(frames, _incremental_rows(_times(frames), cfg))
 
 
 def _euclidean(a: Sequence[float], b: Sequence[float]) -> float:
@@ -149,13 +185,61 @@ def feature_deviation(frame: FrameRecord, model: GlobalFeatureModel) -> float:
     return sum(category_means) / len(category_means)
 
 
+def _deviates(trace: FrameTrace, model: GlobalFeatureModel, eps2: float) -> np.ndarray:
+    """``feature_deviation(frame, model) > eps2`` for every frame of ``trace``.
+
+    A category with one box or one centroid matches its nearest pair, so its
+    mean is the least box-centroid distance: one vector pass.  These sums
+    run in another order than :func:`feature_deviation`'s, which may call a
+    compensated sum, so they can differ from its values by a few ulps; the
+    function itself decides frames within a margin of ``eps2`` that bounds
+    that difference, frames with a non-finite deviation, and every frame
+    when a category needs the greedy matching of several boxes to several
+    centroids or a centroid's length differs from the feature length.
+    """
+    n = len(trace)
+    if not n:
+        return np.zeros(0, dtype=bool)
+    feats, categories = trace.features, trace.categories
+    boxes: Dict[int, list] = {}
+    for k, category in enumerate(categories):
+        boxes.setdefault(category, []).append(k)
+    scalar = feats.ndim != 3 or feats.shape[1] != len(categories)
+    means = []
+    for category, ks in boxes.items():
+        centroids = model.category_centroids(category)
+        if scalar or not centroids:
+            continue
+        if (len(ks) > 1 and len(centroids) > 1) or any(len(c) != feats.shape[2] for c in centroids):
+            scalar = True
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = feats[:, ks, None, :] - np.asarray(centroids, dtype=float)
+            means.append(np.sqrt((diff ** 2).sum(axis=3)).min(axis=(1, 2)))
+    if scalar:
+        keep, near = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
+    else:
+        deviation = sum(means[1:], means[0]) / len(means) if means else np.zeros(n)
+        margin = 4 * (feats.shape[2] + len(boxes) + 4) * np.finfo(float).eps * eps2
+        keep = deviation > eps2
+        near = ~np.isfinite(deviation) | (np.abs(deviation - eps2) <= margin)
+    rows = np.flatnonzero(near)
+    keep[rows] = [feature_deviation(f, model) > eps2 for f in trace.take(rows)]
+    return keep
+
+
 def sample_gradual(
     frames: Sequence[FrameRecord],
     cfg: SamplerConfig,
     model: GlobalFeatureModel,
-) -> List[FrameRecord]:
+):
     """Two-stage filter: drop low pixel-difference frames, then keep frames
-    whose feature deviation from the global view exceeds ``eps2``."""
+    whose feature deviation from the global view exceeds ``eps2``.
+    ``frames`` is a :class:`FrameTrace` or a record sequence, and the picks
+    come back in the same form."""
     threshold = cfg.frame_w * cfg.frame_h * cfg.eps1
+    if isinstance(frames, FrameTrace):
+        survivors = frames.take(np.flatnonzero(frames.pixel_diff >= threshold))
+        return survivors.take(np.flatnonzero(_deviates(survivors, model, cfg.eps2)))
     survivors = [f for f in frames if f.pixel_diff >= threshold]
     return [f for f in survivors if feature_deviation(f, model) > cfg.eps2]

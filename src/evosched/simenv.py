@@ -205,13 +205,14 @@ def gen_trace(
     magnitude of the first one.  A gradual drift mixes old and new regimes,
     choosing the new one with a probability that rises over its transition.
     Each frame's cc and lc are both the square root of its CLC, and it has
-    one detection of each category.
+    one detection of each category.  The detection features have a
+    substream of their own, drawn on the first read of ``features``: most
+    traces are never sampled by feature deviation nor written out.
     """
     cfg = sampler_cfg or SamplerConfig()
     area = float(cfg.frame_w * cfg.frame_h)
     noise_rng = _stream(seed, end_index, 0)
     mix_rng = _stream(seed, end_index, 1)
-    det_rng = _stream(seed, end_index, 2)
     model = default_centroids()
     centroids = np.array([model.centroids[cat][0] for cat in (0, 1)])
 
@@ -219,7 +220,6 @@ def gen_trace(
     t = np.arange(1, n + 1) / spec.frame_rate
     mix = mix_rng.random(n)
     noise = noise_rng.normal(0.0, [0.01, 0.02 * area], size=(n, 2))
-    det_noise = det_rng.normal(0.0, 0.03, size=(n, 2, FEATURE_DIM))
 
     base = spec.base_accuracy
     p_old = PIXEL_OLD_FRACTION * area
@@ -258,7 +258,11 @@ def gen_trace(
 
     root = np.sqrt(np.minimum(1.0, np.maximum(1e-3, level + noise[:, 0])))
     pixel = np.maximum(0.0, pixel + noise[:, 1])
-    features = (centroids + shift[:, None, None]) + det_noise
+
+    def features():
+        det_noise = _stream(seed, end_index, 2).normal(0.0, 0.03, size=(n, 2, FEATURE_DIM))
+        return (centroids + shift[:, None, None]) + det_noise
+
     return FrameTrace(t=t, cc=root, lc=root, pixel_diff=pixel, features=features,
                       categories=(0, 1))
 
@@ -420,6 +424,7 @@ class _Sim:
         self.finished: List[TaskMetrics] = []
         self.heap: List[tuple] = []
         self._seq = 0
+        self._now = 0.0  # time of the event being handled
         self._task_counter = 0
         self.feature_model = default_centroids()
         self.boundaries: List[float] = []
@@ -445,10 +450,14 @@ class _Sim:
 
     def _push(self, t: float, handler, *args, key: Optional[tuple] = None) -> None:
         """Schedule ``handler(t, *args)``.  Events at the same ``t`` run in
-        ``key`` order; the default key is push order, after any trigger."""
+        ``key`` order.  The default key is ``(time of the event being
+        handled, 1, push order)``: events pushed earlier in simulated time
+        run first, and a trigger's key ``(time of the frame before it, 0,
+        end index)`` puts it before the events pushed at that frame's time,
+        as the frame events of a per-frame loop would run."""
         if key is None:
             self._seq += 1
-            key = (1, self._seq)
+            key = (self._now, 1, self._seq)
         heapq.heappush(self.heap, (t, key, handler, args))
 
     def run(self) -> SimMetrics:
@@ -456,6 +465,7 @@ class _Sim:
             t, _, handler, args = heapq.heappop(self.heap)
             if t > self.sc.duration:
                 break
+            self._now = t
             handler(t, *args)
         # Events left past the end hold bound methods of this simulation;
         # dropping them lets its traces go without waiting for the cycle GC.
@@ -472,11 +482,11 @@ class _Sim:
         found = first_drift(end.trace, int(np.searchsorted(times, t)), self.sc.detector)
         if found is not None:
             i, event = found
-            # Tied triggers run by the time of the end's previous frame, then
-            # by end index: the order of the per-frame loop that
-            # tests/test_simenv.py keeps as the reference.  A detector fires
-            # on its second frame at the earliest.
-            key = (0, float(times[i - 1]), end.index)
+            # In the per-frame loop that tests/test_simenv.py keeps as the
+            # reference, the end's previous frame pushed the frame that
+            # fires; see _push.  A detector fires on its second frame at the
+            # earliest.
+            key = (float(times[i - 1]), 0, end.index)
             self._push(float(times[i]), self._on_trigger, end, event, key=key)
 
     def _on_trigger(self, t: float, end: _EndState, event: DriftEvent) -> None:
@@ -484,7 +494,7 @@ class _Sim:
         times = end.trace.t
         lo = int(np.searchsorted(times, event.t1, side="left"))
         hi = int(np.searchsorted(times, event.t3, side="right"))
-        window = end.trace[lo:hi]
+        window = end.trace.take(slice(lo, hi))
         if event.drift_type is DriftType.SUDDEN:
             selected = sample_sudden(window, self.sc.sampler.r_f)
         elif event.drift_type is DriftType.INCREMENTAL:

@@ -78,6 +78,20 @@ class TestSimulate:
                    "--policy", "warp-speed", "--out", str(tmp_path / "o")])
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("sampler", "r_f", 0.0), ("sampler", "r_f", float("inf")),
+        ("detector", "rod_threshold", float("nan")),
+    ])
+    def test_bad_setting_is_input_error(self, scenario_path, tmp_path, capsys,
+                                        section, field, value):
+        doc = json.loads(scenario_path.read_text())
+        doc[section][field] = value
+        scenario_path.write_text(json.dumps(doc))
+        rc = main(["simulate", "--scenario", str(scenario_path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_INPUT
+        assert field in capsys.readouterr().err
+
     def test_uncaught_exception_is_internal_error(self, scenario_path, tmp_path,
                                                   monkeypatch, capsys):
         def broken_run(scenario):

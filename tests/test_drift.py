@@ -168,6 +168,10 @@ class TestDetector:
             DetectorConfig(sub_windows=7, temp_window_frames=90)
         with pytest.raises(ValueError):
             DetectorConfig(rod_threshold=0.0)
+        for field in ("rod_threshold", "variance_threshold", "tau", "d0_factor"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ValueError, match=field):
+                    DetectorConfig(**{field: value})
 
 
 class TestTraceCsv:
@@ -221,6 +225,36 @@ class TestFrameTrace:
             trace[3]
         with pytest.raises(ValueError):
             trace.t[0] = 5.0
+
+    def test_features_drawn_on_first_read(self):
+        eager = np.arange(24.0).reshape(4, 3, 2)
+        calls = []
+
+        def draw():
+            calls.append(1)
+            return eager.copy()
+
+        cols = dict(t=np.array([1.0, 2.0, 4.0, 8.0]), cc=np.full(4, 0.5), lc=np.full(4, 0.6),
+                    pixel_diff=np.arange(4.0), categories=(0, 1, 1))
+        lazy = FrameTrace(features=draw, **cols)
+        window = lazy.take(slice(1, 4))
+        picks = window.take([0, 2])
+        assert len(lazy) == 4 and list(picks.t) == [2.0, 8.0] and not calls
+        # reading the features of a part reads them once for the whole trace
+        assert list(picks) == list(FrameTrace(features=eager, **cols))[1:4:2]
+        assert len(calls) == 1
+        features = lazy.features
+        assert lazy.features is features and not features.flags.writeable
+        assert lazy[1:3] == list(FrameTrace(features=eager.copy(), **cols))[1:3]
+        assert len(calls) == 1
+        with pytest.raises(AttributeError):
+            lazy.features = eager
+
+    @pytest.mark.parametrize("rows", [slice(3, 0, -1), [1, 1], [2, 1], [-1, 0]])
+    def test_take_needs_increasing_rows(self, rows):
+        trace = columnar([1.0, 2.0, 3.0], [0.5] * 3, [0.5] * 3, [1.0] * 3)
+        with pytest.raises(ValueError):
+            trace.take(rows)
 
     @pytest.mark.parametrize("column, value, message", [
         ("cc", 1.5, "cc and lc"), ("lc", -0.1, "cc and lc"), ("cc", math.nan, "cc and lc"),

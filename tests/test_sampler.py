@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evosched.drift import Detection, FrameRecord
+from evosched.drift import Detection, FrameRecord, FrameTrace
 from evosched.sampler import (
+    RATE_STEP_SECONDS,
     GlobalFeatureModel,
     SamplerConfig,
     feature_deviation,
@@ -191,3 +194,141 @@ def test_config_validation():
         SamplerConfig(r0=2.0, r_max=1.0)
     with pytest.raises(ValueError):
         SamplerConfig(eps1=0.0)
+    for field, value in (("r_f", 0.0), ("r_f", math.inf), ("r0", math.nan),
+                         ("r_max", math.inf), ("delta_r", math.nan), ("eps2", math.nan)):
+        with pytest.raises(ValueError, match=field):
+            SamplerConfig(**{field: value})
+
+
+def test_records_out_of_time_order_rejected():
+    frames = frames_at([2.0, 1.0, 3.0])
+    with pytest.raises(ValueError, match="time order"):
+        sample_sudden(frames, 0.6)
+    with pytest.raises(ValueError, match="time order"):
+        sample_incremental(frames, SamplerConfig())
+
+
+# --- reference samplers --------------------------------------------------------
+# The record samplers the row selections on columns replaced: one pass over
+# the frames per target time, the window rescanned for every segment, and
+# feature_deviation called for every frame that passes stage 1.  The samplers
+# must pick the same frames.
+
+def _reference_pick_at_times(frames, targets):
+    picked = []
+    idx = 0
+    for target in targets:
+        while idx < len(frames) and frames[idx].t < target:
+            idx += 1
+        if idx >= len(frames):
+            break
+        picked.append(frames[idx])
+        idx += 1
+    return picked
+
+
+def reference_sample_sudden(frames, r_f):
+    if not frames:
+        return []
+    t0 = frames[0].t
+    count = max(1, math.ceil(r_f * (frames[-1].t - t0)))
+    return _reference_pick_at_times(frames, [t0 + k / r_f for k in range(count)])
+
+
+def reference_sample_incremental(frames, cfg):
+    if not frames:
+        return []
+    t1 = frames[0].t
+    t_end = frames[-1].t
+    if t_end == t1:
+        return [frames[0]]
+    picked = []
+    seg_start = t1
+    while seg_start < t_end:
+        seg_len = min(RATE_STEP_SECONDS, t_end - seg_start)
+        n = round(linear_rate(seg_start, t1, cfg) * seg_len)
+        seg_frames = [f for f in frames if seg_start <= f.t < seg_start + RATE_STEP_SECONDS]
+        if n > 0 and seg_frames:
+            targets = [seg_start + j * seg_len / n for j in range(n)]
+            picked.extend(_reference_pick_at_times(seg_frames, targets))
+        seg_start += RATE_STEP_SECONDS
+    return picked
+
+
+def reference_sample_gradual(frames, cfg, model):
+    threshold = cfg.frame_w * cfg.frame_h * cfg.eps1
+    survivors = [f for f in frames if f.pixel_diff >= threshold]
+    return [f for f in survivors if feature_deviation(f, model) > cfg.eps2]
+
+
+@st.composite
+def _window_case(draw):
+    """A trace window as the simulator passes it (a slice of a longer trace),
+    a sampler configuration and a feature model.  Frame times are often on a
+    regular grid that the sampling targets hit exactly; pixel differences
+    are often at the stage-1 threshold or one ulp from it; and features are
+    either random or placed so that deviations are ``eps2`` or one ulp from
+    it.  Duplicate categories with several centroids need the greedy
+    matching."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 50))
+    lo = draw(st.integers(0, 3))
+    hi = lo + draw(st.sampled_from([0, 1, 2, n]) | st.integers(0, n))
+    rate = draw(st.sampled_from([0.5, 1.0, 2.0, 30.0]))
+    if draw(st.booleans()):
+        t = np.arange(1, n + lo + 4) / rate
+    else:
+        t = np.cumsum(rng.uniform(1e-3, draw(st.sampled_from([1.0, 10.0, 40.0])), n + lo + 3))
+
+    cfg = SamplerConfig(
+        r_f=draw(st.sampled_from([0.5, 0.6, 1.0, 2.0]) | st.floats(0.01, 5.0)),
+        r0=(r0 := draw(st.floats(0.01, 1.0))),
+        r_max=draw(st.floats(r0, 3.0)),
+        delta_r=draw(st.sampled_from([0.0, 0.05]) | st.floats(0.0, 0.5)),
+        eps1=draw(st.floats(0.01, 1.0)), eps2=draw(st.sampled_from([0.2]) | st.floats(0.01, 2.0)),
+        frame_w=draw(st.integers(1, 200)), frame_h=draw(st.integers(1, 200)))
+    threshold = cfg.frame_w * cfg.frame_h * cfg.eps1
+    near = [threshold, np.nextafter(threshold, -np.inf), np.nextafter(threshold, np.inf)]
+    pixel = np.where(rng.random(len(t)) < 0.5, rng.choice(near, len(t)),
+                     rng.uniform(0.0, 2.0 * threshold, len(t)))
+
+    categories = draw(st.sampled_from([(0, 0), (1, 0, 0)])
+                      | st.lists(st.integers(0, 2), max_size=3).map(tuple))
+    dim = draw(st.sampled_from([1, 2, 4]))
+    if draw(st.booleans()):  # random features and centroids, at distances near eps2
+        spread = cfg.eps2 / math.sqrt(dim)
+        centroids = {c: tuple(tuple(rng.normal(0.0, spread, dim).tolist())
+                              for _ in range(draw(st.sampled_from([2]) | st.integers(0, 3))))
+                     for c in range(3)}
+        features = rng.normal(0.0, spread, (len(t), len(categories), dim))
+    else:  # one centroid at the origin, every box at distance eps2 or one ulp off
+        centroids = {c: ((0.0,) * dim,) for c in range(3)}
+        eps2 = cfg.eps2
+        at = rng.choice([eps2, np.nextafter(eps2, -np.inf), np.nextafter(eps2, np.inf)], len(t))
+        features = np.zeros((len(t), len(categories), dim))
+        features[:, :, 0] = at[:, None]
+    model = GlobalFeatureModel(centroids=centroids)
+    if draw(st.booleans()):
+        eager = features
+        features = lambda: eager  # noqa: E731  (a lazy trace)
+    trace = FrameTrace(t=t, cc=np.full(len(t), 0.8), lc=np.full(len(t), 0.9),
+                       pixel_diff=pixel, features=features, categories=categories)
+    return trace.take(slice(lo, hi)), cfg, model
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_window_case())
+def test_samplers_match_reference_on_columns(case):
+    window, cfg, model = case
+    records = list(window)
+    for sample, reference, args in (
+            (sample_sudden, reference_sample_sudden, (cfg.r_f,)),
+            (sample_incremental, reference_sample_incremental, (cfg,)),
+            (sample_gradual, reference_sample_gradual, (cfg, model))):
+        want = reference(records, *args)
+        got = sample(window, *args)
+        assert isinstance(got, FrameTrace)
+        assert list(got) == want
+        assert [repr(f) for f in got] == [repr(f) for f in want]
+        # a record sequence gets the same record objects back
+        assert [id(f) for f in sample(records, *args)] == [id(f) for f in want]

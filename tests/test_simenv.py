@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evosched.drift import Detection, DetectorConfig, DriftDetector, DriftType, FrameRecord
+from evosched import simenv
+from evosched.drift import (
+    Detection, DetectorConfig, DriftDetector, DriftType, FrameRecord, FrameTrace,
+)
 from evosched.profiler import MB, LayerKind, LayerSpec, ModelArch
 from evosched.sampler import SamplerConfig
 from evosched.scheduler import EvolutionTask, GpuPool, RunningEntry
@@ -222,6 +225,42 @@ def test_gen_trace_matches_reference_loop(case):
     assert [repr(f) for f in got] == [repr(f) for f in want]
 
 
+def _count_streams(monkeypatch):
+    """Record the purpose of every substream ``simenv`` draws from."""
+    purposes = []
+
+    def counted(seed, end_index, purpose):
+        purposes.append(purpose)
+        return _stream(seed, end_index, purpose)
+
+    monkeypatch.setattr(simenv, "_stream", counted)
+    return purposes
+
+
+def test_gen_trace_draws_features_on_first_read(monkeypatch):
+    purposes = _count_streams(monkeypatch)
+    spec = sudden_end(t=50.0)
+    trace = gen_trace(spec, seed=3, end_index=1, duration=120.0)
+    window = trace.take(slice(40, 80))
+    assert len(window) == 40 and 2 not in purposes
+    want = reference_gen_trace(spec, 3, 1, 120.0)
+    assert list(window) == want[40:80]
+    assert list(trace) == want and trace[5:9] == want[5:9]
+    assert purposes.count(2) == 1
+
+
+def test_sudden_only_run_builds_no_records_and_draws_no_features(monkeypatch):
+    from test_acceptance import bench_scenario
+    purposes = _count_streams(monkeypatch)
+
+    def no_records(self, rows):
+        raise AssertionError("a FrameRecord was built")
+
+    monkeypatch.setattr(FrameTrace, "_records", no_records)
+    assert run(bench_scenario(0)).n_tasks > 0
+    assert 0 in purposes and 2 not in purposes
+
+
 class TestAccuracyModel:
     def spec(self, decay=0.002):
         return MobileEndSpec(
@@ -424,8 +463,31 @@ def _tied_scenario(draw):
         unfrozen_fraction=0.5, duration=600.0)
 
 
+def _trigger_tie_scenario():
+    """Four ends where two triggers at 132 s tie with a retrain completion
+    that admits a task ending at 137 s, when their uploads end.  The
+    per-frame loop runs the completion first, as it was pushed before the
+    frames that fire, so the task ends before the uploads are queued."""
+    def end(i, late):
+        return MobileEndSpec(
+            end_id=f"e{i}", arch=_FC_10240, frame_rate=0.5, frame_bytes=10 * MB,
+            drift_events=(DriftInjection(t=60.0 + late, drift_type=DriftType.SUDDEN,
+                                         magnitude=0.5, transition_s=0.0, recovery_s=40.0),
+                          DriftInjection(t=180.0, drift_type=DriftType.SUDDEN,
+                                         magnitude=0.5, transition_s=0.0, recovery_s=20.0)),
+            decay=0.004, work_per_frame=0.8)
+
+    return Scenario(
+        seed=0, ends=tuple(end(i, late) for i, late in enumerate((0.0, 0.0, 10.0, 10.0))),
+        policy=Policy.ADAPTIVE, server=ServerSpec(mem_capacity_mb=4200.0),
+        detector=DetectorConfig(window_frames=12, sub_windows=3, temp_window_frames=12,
+                                variance_threshold=2e-3, tau=20.0),
+        unfrozen_fraction=0.5, duration=600.0)
+
+
 @settings(max_examples=100, deadline=None)
 @given(sc=_tied_scenario())
+@example(sc=_trigger_tie_scenario())
 def test_run_matches_per_frame_reference(sc):
     assert run(sc) == ReferenceSim(sc).run()
 
