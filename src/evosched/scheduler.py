@@ -186,44 +186,42 @@ def select_tasks(
     the sum of ``value_scale / predicted_t_r`` over admitted tasks.
 
     Ties between equal-value solutions resolve to the lexicographically
-    smallest selected-id set, realized by a suffix-table DP with a greedy
-    include-if-still-optimal forward pass over id-sorted candidates.
+    smallest selected-id set: a suffix DP over id-sorted candidates records
+    at each capacity whether including a task is still optimal, and a forward
+    pass includes each task whose bit is set.  The grid ends at the total
+    demand, since any larger capacity admits every task.
     """
+    if math.isnan(capacity_mb):
+        raise ValueError("capacity_mb must not be NaN")
     if capacity_mb <= 0 or not candidates:
         return SelectionResult(selected=(), total_value=0.0, capacity_used=0.0,
                                decision_t=decision_t)
     tasks = sorted(candidates, key=lambda t: t.id)
-    cap = int(math.floor(capacity_mb))
     weights = [int(math.ceil(t.mem_demand)) for t in tasks]
     values = [value_scale / t.predicted_t_r for t in tasks]
-    n = len(tasks)
+    cap = math.floor(min(capacity_mb, sum(weights)))
 
-    # best[i] over grid m: max value achievable with tasks i..n-1 and capacity m
+    # best over grid m: max value achievable with tasks i..n-1 and capacity m;
+    # keep[i, m]: including task i attains best at m
     best = np.zeros(cap + 1, dtype=np.float64)
-    tables = [None] * n
-    for i in range(n - 1, -1, -1):
-        nxt = best
-        cur = nxt.copy()
-        w, v = weights[i], values[i]
+    keep = np.zeros((len(tasks), cap + 1), dtype=bool)
+    for i in range(len(tasks) - 1, -1, -1):
+        w = weights[i]
         if w <= cap:
-            np.maximum(cur[w:], nxt[:cap + 1 - w] + v, out=cur[w:])
-        tables[i] = cur
-        best = cur
+            with_i = best[:cap + 1 - w] + values[i]  # a copy: it overlaps best[w:]
+            np.greater_equal(with_i, best[w:], out=keep[i, w:])
+            np.maximum(best[w:], with_i, out=best[w:])
 
     selected: List[str] = []
-    used = 0
     total = 0.0
     m = cap
-    for i in range(n):
-        w, v = weights[i], values[i]
-        nxt = tables[i + 1] if i + 1 < n else np.zeros(cap + 1)
-        if w <= m and v + nxt[m - w] >= tables[i][m]:
-            selected.append(tasks[i].id)
-            used += w
-            total += v
-            m -= w
+    for i, t in enumerate(tasks):
+        if keep[i, m]:
+            selected.append(t.id)
+            total += values[i]
+            m -= weights[i]
     return SelectionResult(selected=tuple(selected), total_value=total,
-                           capacity_used=float(used), decision_t=decision_t)
+                           capacity_used=float(cap - m), decision_t=decision_t)
 
 
 def allocate_compute(

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -764,52 +764,49 @@ def scenario_to_json(scenario: Scenario) -> dict:
     }
 
 
+def _given(doc: dict, *keys: str, **convert: Callable) -> dict:
+    """Keyword arguments for those of ``keys`` and ``convert``'s keys that
+    ``doc`` has, the latter passed through their function; a key ``doc``
+    lacks is left out, so the dataclass default applies."""
+    kwargs = {k: doc[k] for k in keys if k in doc}
+    kwargs.update((k, fn(doc[k])) for k, fn in convert.items() if k in doc)
+    return kwargs
+
+
+def _end_from_doc(e: dict) -> MobileEndSpec:
+    spec = _given(e, "frame_rate", "frame_bytes", "base_accuracy", "decay", "work_per_frame")
+    if "gain_curve" in e:
+        spec["gain_curve_truth"] = AccuracyCurve(**e["gain_curve"])
+    return MobileEndSpec(
+        end_id=e["end_id"],
+        arch=arch_from_doc(e["arch"]),
+        drift_events=tuple(
+            DriftInjection(t=ev["t"], drift_type=DriftType(ev["type"]),
+                           magnitude=ev["magnitude"], transition_s=ev["transition_s"],
+                           **_given(ev, "recovery_s"))
+            for ev in e.get("drift_events", [])
+        ),
+        **spec,
+    )
+
+
 def scenario_from_json(doc: dict) -> Scenario:
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r} "
                          f"(expected {SCHEMA_VERSION})")
     try:
-        ends = tuple(
-            MobileEndSpec(
-                end_id=e["end_id"],
-                arch=arch_from_doc(e["arch"]),
-                drift_events=tuple(
-                    DriftInjection(t=ev["t"], drift_type=DriftType(ev["type"]),
-                                   magnitude=ev["magnitude"],
-                                   transition_s=ev["transition_s"],
-                                   recovery_s=ev.get("recovery_s", 150.0))
-                    for ev in e.get("drift_events", [])
-                ),
-                frame_rate=e.get("frame_rate", 1.0),
-                frame_bytes=e.get("frame_bytes", 200_000.0),
-                base_accuracy=e.get("base_accuracy", 0.8),
-                decay=e.get("decay", 0.002),
-                gain_curve_truth=AccuracyCurve(**e.get(
-                    "gain_curve", {"a_max": 0.82, "b": 0.5, "c": 1.0})),
-                work_per_frame=e.get("work_per_frame", 1.0),
-            )
-            for e in doc["ends"]
-        )
-        server = ServerSpec(**doc.get("server", {}))
-        grouping = GroupingConfig(**doc.get("grouping", {"sigma": 24.0}))
-        sampler = SamplerConfig(**doc.get("sampler", {}))
-        detector = DetectorConfig(**doc.get("detector", {}))
+        ends = tuple(_end_from_doc(e) for e in doc["ends"])
         return Scenario(
             seed=int(doc["seed"]),
             ends=ends,
-            server=server,
-            uplink_mbps=doc.get("uplink_mbps", 10.0),
-            downlink_mbps=doc.get("downlink_mbps", 20.0),
-            policy=Policy(doc.get("policy", "adaptive")),
-            duration=doc.get("duration", 600.0),
-            grouping=grouping,
-            sampler=sampler,
-            detector=detector,
-            epochs=doc.get("epochs", 10),
-            data_reduction=doc.get("data_reduction", 1.0),
-            unfrozen_fraction=doc.get("unfrozen_fraction", 0.31),
-            lookahead_factor=doc.get("lookahead_factor", 0.1),
+            **_given(doc, "uplink_mbps", "downlink_mbps", "duration", "epochs",
+                     "data_reduction", "unfrozen_fraction", "lookahead_factor",
+                     server=lambda d: ServerSpec(**d),
+                     grouping=lambda d: GroupingConfig(**d),
+                     sampler=lambda d: SamplerConfig(**d),
+                     detector=lambda d: DetectorConfig(**d),
+                     policy=Policy),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"invalid scenario: {exc}") from exc

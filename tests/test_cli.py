@@ -193,6 +193,24 @@ class TestSchedule:
         rc = main(["schedule", "--tasks", str(path), "--capacity", "-5"])
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize("capacity", ["inf", "1e13"])
+    def test_capacity_past_total_demand_selects_all(self, tmp_path, capsys, capacity):
+        tasks = [{"id": "b", "mem_demand": 3072, "predicted_t_r": 20},
+                 {"id": "a", "mem_demand": 4096.5, "predicted_t_r": 10}]
+        path = tmp_path / "tasks.json"
+        path.write_text(json.dumps(tasks))
+        rc = main(["schedule", "--tasks", str(path), "--capacity", capacity])
+        assert rc == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"selected": ["a", "b"], "total_value": 15.0, "capacity_used": 7169.0}
+
+    def test_nan_capacity_rejected(self, tmp_path, capsys):
+        path = tmp_path / "tasks.json"
+        path.write_text(json.dumps([{"id": "a", "mem_demand": 10, "predicted_t_r": 1}]))
+        rc = main(["schedule", "--tasks", str(path), "--capacity", "nan"])
+        assert rc == EXIT_INPUT
+        assert "capacity_mb" in capsys.readouterr().err
+
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "tasks.json"
         path.write_text(json.dumps([{"id": "a"}]))

@@ -1,14 +1,18 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evosched.scheduler import (
     EvolutionTask,
     GpuPool,
     GroupingConfig,
     RunningEntry,
+    SelectionResult,
     allocate_compute,
     assign_group,
     calibrate_sigma,
@@ -190,6 +194,104 @@ class TestSelectTasks:
         tasks = [task("b", 1000, 10), task("a", 1000, 10), task("c", 1000, 10)]
         result = select_tasks(tasks, 1500.0)
         assert result.selected == ("a",)
+
+    def test_memory_stays_small(self):
+        # one float64 row per task over this grid would take 505 MiB
+        rng = np.random.default_rng(12)
+        tasks = [task(f"t{i:03d}", float(rng.uniform(4000.0, 16000.0)),
+                      float(rng.uniform(1.0, 120.0))) for i in range(100)]
+        assert sum(math.ceil(t.mem_demand) for t in tasks) > 655_360
+        tracemalloc.start()
+        try:
+            select_tasks(tasks, 655_360.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2 ** 20
+
+    @pytest.mark.parametrize("capacity", [1e12, math.inf])
+    def test_capacity_past_total_demand_selects_all(self, capacity):
+        tasks = [task("c", 5000.5, 10), task("a", 3000, 20), task("b", 1, 5)]
+        result = select_tasks(tasks, capacity)
+        assert result.selected == ("a", "b", "c")
+        assert result.capacity_used == 8002.0
+        assert result.total_value == 5.0 + 20.0 + 10.0
+
+    def test_nan_capacity_rejected(self):
+        with pytest.raises(ValueError, match="capacity_mb"):
+            select_tasks([task("a", 10, 10)], math.nan)
+
+
+def reference_select_tasks(candidates, capacity_mb, value_scale=100.0, decision_t=0.0):
+    """The float-table knapsack: one row per task over the whole requested
+    grid, and a forward pass that recomputes each include decision."""
+    if capacity_mb <= 0 or not candidates:
+        return SelectionResult(selected=(), total_value=0.0, capacity_used=0.0,
+                               decision_t=decision_t)
+    tasks = sorted(candidates, key=lambda t: t.id)
+    cap = int(math.floor(capacity_mb))
+    weights = [int(math.ceil(t.mem_demand)) for t in tasks]
+    values = [value_scale / t.predicted_t_r for t in tasks]
+    n = len(tasks)
+
+    best = np.zeros(cap + 1, dtype=np.float64)
+    tables = [None] * n
+    for i in range(n - 1, -1, -1):
+        nxt = best
+        cur = nxt.copy()
+        w, v = weights[i], values[i]
+        if w <= cap:
+            np.maximum(cur[w:], nxt[:cap + 1 - w] + v, out=cur[w:])
+        tables[i] = cur
+        best = cur
+
+    selected = []
+    used = 0
+    total = 0.0
+    m = cap
+    for i in range(n):
+        w, v = weights[i], values[i]
+        nxt = tables[i + 1] if i + 1 < n else np.zeros(cap + 1)
+        if w <= m and v + nxt[m - w] >= tables[i][m]:
+            selected.append(tasks[i].id)
+            used += w
+            total += v
+            m -= w
+    return SelectionResult(selected=tuple(selected), total_value=total,
+                           capacity_used=float(used), decision_t=decision_t)
+
+
+@st.composite
+def _knapsack_case(draw):
+    """Candidates with shuffled ids, and a capacity below, at or above their
+    total rounded-up demand.  Demands are integral or fractional and may
+    exceed the capacity; retraining times from a small set give values that
+    tie exactly."""
+    n = draw(st.integers(0, 12))
+    demand = st.integers(1, 120) | st.floats(0.01, 120.0)
+    t_r = st.sampled_from([5, 8, 10, 16, 20, 25, 40, 50]) | st.floats(0.5, 100.0)
+    ids = draw(st.permutations([f"t{k}" for k in range(n)]))
+    tasks = [task(tid, draw(demand), draw(t_r)) for tid in ids]
+    total = sum(math.ceil(t.mem_demand) for t in tasks)
+    where = draw(st.sampled_from(["below", "at", "above"]))
+    if where == "below":
+        capacity = draw(st.floats(0.0, max(total - 1e-3, 0.0)))
+    elif where == "at":
+        capacity = float(total) + draw(st.sampled_from([0.0, 0.5]))
+    else:
+        capacity = total + draw(st.floats(0.0, 500.0))
+    return tasks, capacity
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_knapsack_case())
+def test_select_tasks_matches_reference(case):
+    tasks, capacity = case
+    want = reference_select_tasks(tasks, capacity)
+    got = select_tasks(tasks, capacity)
+    assert got.selected == want.selected
+    assert repr(got.total_value) == repr(want.total_value)
+    assert got.capacity_used == want.capacity_used
 
 
 class TestAllocateCompute:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from evosched import simenv
 from evosched.drift import (
     Detection, DetectorConfig, DriftDetector, DriftType, FrameRecord, FrameTrace,
 )
-from evosched.profiler import MB, LayerKind, LayerSpec, ModelArch
+from evosched.profiler import MB, LayerKind, LayerSpec, ModelArch, arch_to_doc
 from evosched.sampler import SamplerConfig
 from evosched.scheduler import EvolutionTask, GpuPool, RunningEntry
 from evosched.simenv import (
@@ -548,6 +549,20 @@ class TestScenarioJson:
         sc = scenario([sudden_end("end-a"), sudden_end("end-b")],
                       policy=Policy.ADAPTIVE)
         assert scenario_from_json(scenario_to_json(sc)) == sc
+
+    def test_absent_keys_take_dataclass_defaults(self):
+        doc = {"schema_version": SCHEMA_VERSION, "seed": 3, "ends": [{
+            "end_id": "e", "arch": arch_to_doc(tiny_arch()),
+            "drift_events": [{"t": 60.0, "type": "sudden", "magnitude": 0.5,
+                              "transition_s": 0.0}]}]}
+        event = DriftInjection(t=60.0, drift_type=DriftType.SUDDEN, magnitude=0.5,
+                               transition_s=0.0)
+        want = Scenario(seed=3, ends=(MobileEndSpec(end_id="e", arch=tiny_arch(),
+                                                    drift_events=(event,)),))
+        assert scenario_from_json(doc) == want
+        del doc["ends"][0]["drift_events"]
+        assert scenario_from_json(doc) == replace(
+            want, ends=(replace(want.ends[0], drift_events=()),))
 
     def test_schema_version_checked(self):
         doc = scenario_to_json(scenario([sudden_end()]))
