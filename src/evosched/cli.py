@@ -12,7 +12,7 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import Optional, Sequence
 
 EXIT_OK = 0
@@ -60,10 +60,16 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     with open(args.sweep) as fh:
         paths = [line.strip() for line in fh if line.strip()]
-    for path in paths:
+    stems = [os.path.splitext(os.path.basename(path))[0] for path in paths]
+    first = {}
+    for path, stem in zip(paths, stems):
+        other = first.setdefault(stem, path)
+        if os.path.abspath(other) != os.path.abspath(path):
+            raise ValueError(f"{other} and {path} would both write {stem}_metrics.csv "
+                             f"and {stem}_summary.json")
+    for path, stem in zip(paths, stems):
         scenario = _load_scenario(path, args)
         metrics = run(scenario)
-        stem = os.path.splitext(os.path.basename(path))[0]
         write_metrics_csv(os.path.join(out, f"{stem}_metrics.csv"), metrics)
         write_summary_json(os.path.join(out, f"{stem}_summary.json"), metrics, scenario)
         if args.verbose:
@@ -78,10 +84,9 @@ def cmd_drift_detect(args) -> int:
     for frame in frames:
         event = detector.update(frame)
         if event is not None:
-            print(json.dumps({
-                "t1": event.t1, "t2": event.t2, "t3": event.t3,
-                "type": event.drift_type.value, "d": event.d, "d0": event.d0,
-            }, sort_keys=True))
+            doc = asdict(event)
+            doc["type"] = doc.pop("drift_type").value
+            print(json.dumps(doc, sort_keys=True))
     return EXIT_OK
 
 
@@ -89,20 +94,16 @@ def cmd_profile_memory(args) -> int:
     from .profiler import memory_demand, read_arch_json
     arch = read_arch_json(args.arch)
     breakdown = memory_demand(arch)
-    print(json.dumps({
-        "m_p": breakdown.m_p, "m_f": breakdown.m_f, "m_g": breakdown.m_g,
-        "m_opt": breakdown.m_opt, "m_ws": breakdown.m_ws,
-        "total": breakdown.total,
-    }, sort_keys=True))
+    print(json.dumps({**asdict(breakdown), "total": breakdown.total}, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_schedule(args) -> int:
+    from .profiler import read_json
     from .scheduler import EvolutionTask, select_tasks
     if args.capacity <= 0:
         raise ValueError("capacity must be positive MB")
-    with open(args.tasks) as fh:
-        doc = json.load(fh)
+    doc = read_json(args.tasks)
     if not isinstance(doc, list):
         raise ValueError(f"{args.tasks}: expected a JSON list of task records")
     tasks = []
@@ -120,12 +121,9 @@ def cmd_schedule(args) -> int:
             tasks.append(EvolutionTask(id=rec["id"], end_id=rec["end_id"], **numbers))
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{args.tasks}: bad task record {i} {doc[i]!r}: {exc}") from exc
-    result = select_tasks(tasks, args.capacity)
-    print(json.dumps({
-        "selected": list(result.selected),
-        "total_value": result.total_value,
-        "capacity_used": result.capacity_used,
-    }, sort_keys=True))
+    doc = asdict(select_tasks(tasks, args.capacity))
+    del doc["decision_t"]  # the command takes no decision time
+    print(json.dumps(doc, sort_keys=True))
     return EXIT_OK
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import List, Sequence, Tuple
 
@@ -143,43 +143,25 @@ def memory_demand(arch: ModelArch, workspace_bytes: float = DEFAULT_WORKSPACE_BY
 # --- architecture descriptor file (JSON) ------------------------------------
 
 def arch_to_doc(arch: ModelArch) -> dict:
-    """JSON document of an architecture, as arch files and scenarios hold it."""
-    return {
-        "bitwidth": arch.bitwidth,
-        "input_w": arch.input_w,
-        "input_h": arch.input_h,
-        "batch": arch.batch,
-        "layers": [
-            {
-                "kind": l.kind.value, "c_in": l.c_in, "c_out": l.c_out,
-                "k1": l.k1, "k2": l.k2, "s1": l.s1, "s2": l.s2,
-                "p1": l.p1, "p2": l.p2,
-            }
-            for l in arch.layers
-        ],
-    }
+    """JSON document of an architecture, as arch files and scenarios hold it:
+    its fields with ``layers`` last, each layer's fields with the kind's value."""
+    doc = {f.name: getattr(arch, f.name) for f in fields(arch) if f.name != "layers"}
+    doc["layers"] = [{f.name: getattr(layer, f.name) for f in fields(layer)}
+                     | {"kind": layer.kind.value} for layer in arch.layers]
+    return doc
 
 
 def arch_from_doc(doc: dict) -> ModelArch:
-    """Inverse of ``arch_to_doc``; absent optional fields take their defaults.
-    Raises KeyError, TypeError or ValueError on a malformed document."""
-    layers = tuple(
-        LayerSpec(
-            kind=LayerKind(rec["kind"]),
-            c_in=int(rec["c_in"]), c_out=int(rec["c_out"]),
-            k1=int(rec.get("k1", 1)), k2=int(rec.get("k2", 1)),
-            s1=int(rec.get("s1", 1)), s2=int(rec.get("s2", 1)),
-            p1=int(rec.get("p1", 0)), p2=int(rec.get("p2", 0)),
-        )
-        for rec in doc["layers"]
-    )
-    return ModelArch(
-        layers=layers,
-        bitwidth=int(doc.get("bitwidth", 32)),
-        input_w=int(doc.get("input_w", 224)),
-        input_h=int(doc.get("input_h", 224)),
-        batch=int(doc.get("batch", 1)),
-    )
+    """Inverse of ``arch_to_doc``: each number through ``int``, absent optional
+    fields left to their defaults, unknown keys ignored.  Raises KeyError,
+    TypeError or ValueError on a malformed document."""
+    def numbers(rec: dict, cls) -> dict:
+        return {f.name: int(rec[f.name]) for f in fields(cls)
+                if f.name in rec and f.name not in ("kind", "layers")}
+
+    layers = tuple(LayerSpec(kind=LayerKind(rec["kind"]), **numbers(rec, LayerSpec))
+                   for rec in doc["layers"])
+    return ModelArch(layers=layers, **numbers(doc, ModelArch))
 
 
 def write_arch_json(path, arch: ModelArch) -> None:
@@ -188,9 +170,18 @@ def write_arch_json(path, arch: ModelArch) -> None:
         fh.write("\n")
 
 
-def read_arch_json(path) -> ModelArch:
+def read_json(path):
+    """The JSON document in file ``path``; invalid JSON raises ValueError
+    naming the file and the line."""
     with open(path) as fh:
-        doc = json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+
+
+def read_arch_json(path) -> ModelArch:
+    doc = read_json(path)
     try:
         return arch_from_doc(doc)
     except (KeyError, ValueError, TypeError) as exc:

@@ -12,7 +12,7 @@ import csv
 import heapq
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -43,6 +43,7 @@ from .profiler import (
     arch_to_doc,
     memory_demand,
     param_count,
+    read_json,
 )
 from .sampler import (
     GlobalFeatureModel,
@@ -68,6 +69,26 @@ SCHEMA_VERSION = 1
 ACCURACY_FLOOR = 0.05
 
 
+def _check_numbers(obj) -> None:
+    """Reject a value of a ``float`` or ``int`` field of dataclass ``obj``
+    that is not a finite number, and a fractional one of an ``int`` field,
+    naming the field; store each ``int`` field as an int.  (Annotations are
+    strings here.)"""
+    for f in fields(obj):
+        if f.type in ("float", "int"):
+            value = getattr(obj, f.name)
+            try:
+                finite = math.isfinite(value)
+            except TypeError:
+                raise ValueError(f"{f.name} must be a number") from None
+            if not finite:
+                raise ValueError(f"{f.name} must be finite")
+            if f.type == "int":
+                if value != int(value):
+                    raise ValueError(f"{f.name} must be an integer")
+                object.__setattr__(obj, f.name, int(value))
+
+
 class Policy(str, Enum):
     ADAPTIVE = "adaptive"            # grouping + knapsack + proportional compute
     DEFAULT_GPU = "default-gpu"      # FIFO admission, equal compute time-slices
@@ -85,6 +106,7 @@ class DriftInjection:
     recovery_s: float = 150.0  # CLC returns to base this long after settling
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.t < 0 or self.transition_s < 0 or self.recovery_s < 0:
             raise ValueError("times must be non-negative")
         if not 0 < self.magnitude < 1:
@@ -95,7 +117,7 @@ class DriftInjection:
 class MobileEndSpec:
     end_id: str
     arch: ModelArch
-    drift_events: Tuple[DriftInjection, ...]
+    drift_events: Tuple[DriftInjection, ...] = ()
     frame_rate: float = 1.0
     frame_bytes: float = 200_000.0
     base_accuracy: float = 0.8
@@ -104,6 +126,7 @@ class MobileEndSpec:
     work_per_frame: float = 1.0    # compute-seconds per frame per epoch
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.frame_rate <= 0 or self.frame_bytes <= 0:
             raise ValueError("frame_rate and frame_bytes must be positive")
         if not 0 < self.base_accuracy <= 1:
@@ -123,6 +146,7 @@ class ServerSpec:
     gpu_count: int = 1
 
     def __post_init__(self):
+        _check_numbers(self)
         if self.mem_capacity_mb <= 0 or self.compute_capacity <= 0 or self.gpu_count < 1:
             raise ValueError("server capacities must be positive")
 
@@ -153,6 +177,7 @@ class Scenario:
     lookahead_factor: float = 0.1
 
     def __post_init__(self):
+        _check_numbers(self)
         if not self.ends:
             raise ValueError("scenario needs at least one end")
         if self.uplink_mbps <= 0 or self.downlink_mbps <= 0:
@@ -163,6 +188,8 @@ class Scenario:
             raise ValueError("epochs must be >= 1")
         if not 0 < self.data_reduction <= 1 or not 0 < self.unfrozen_fraction <= 1:
             raise ValueError("data_reduction and unfrozen_fraction must be in (0, 1]")
+        if self.lookahead_factor < 0:
+            raise ValueError("lookahead_factor must be non-negative")
         ids = [e.end_id for e in self.ends]
         if len(set(ids)) != len(ids):
             raise ValueError("end ids must be unique")
@@ -706,119 +733,73 @@ def run(scenario: Scenario) -> SimMetrics:
 
 # --- scenario JSON ----------------------------------------------------------
 
+# Fields a scenario file stores under another key; the rest go under their names.
+_JSON_KEYS = {"gain_curve_truth": "gain_curve", "drift_type": "type"}
+
+
+def _fields_doc(obj) -> dict:
+    """Dataclass ``obj`` as a JSON object: each field under its key, a nested
+    dataclass as its own such object and an enum as its value."""
+    doc = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            value = _fields_doc(value)
+        elif isinstance(value, Enum):
+            value = value.value
+        doc[_JSON_KEYS.get(f.name, f.name)] = value
+    return doc
+
+
 def scenario_to_json(scenario: Scenario) -> dict:
-    g, s, d = scenario.grouping, scenario.sampler, scenario.detector
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "seed": scenario.seed,
-        "policy": scenario.policy.value,
-        "duration": scenario.duration,
-        "uplink_mbps": scenario.uplink_mbps,
-        "downlink_mbps": scenario.downlink_mbps,
-        "epochs": scenario.epochs,
-        "data_reduction": scenario.data_reduction,
-        "unfrozen_fraction": scenario.unfrozen_fraction,
-        "lookahead_factor": scenario.lookahead_factor,
-        "server": {
-            "mem_capacity_mb": scenario.server.mem_capacity_mb,
-            "compute_capacity": scenario.server.compute_capacity,
-            "gpu_count": scenario.server.gpu_count,
-        },
-        "grouping": {
-            "n_max": g.n_max, "n_min": g.n_min, "eps_range": g.eps_range,
-            "sigma": g.sigma, "lambda_min": g.lambda_min, "lambda_max": g.lambda_max,
-        },
-        "sampler": {
-            "r_f": s.r_f, "r0": s.r0, "delta_r": s.delta_r, "r_max": s.r_max,
-            "eps1": s.eps1, "eps2": s.eps2, "frame_w": s.frame_w, "frame_h": s.frame_h,
-        },
-        "detector": {
-            "window_frames": d.window_frames, "sub_windows": d.sub_windows,
-            "temp_window_frames": d.temp_window_frames,
-            "rod_threshold": d.rod_threshold,
-            "variance_threshold": d.variance_threshold,
-            "tau": d.tau, "d0_factor": d.d0_factor,
-        },
-        "ends": [
-            {
-                "end_id": e.end_id,
-                "arch": arch_to_doc(e.arch),
-                "frame_rate": e.frame_rate,
-                "frame_bytes": e.frame_bytes,
-                "base_accuracy": e.base_accuracy,
-                "decay": e.decay,
-                "work_per_frame": e.work_per_frame,
-                "gain_curve": {"a_max": e.gain_curve_truth.a_max,
-                               "b": e.gain_curve_truth.b,
-                               "c": e.gain_curve_truth.c},
-                "drift_events": [
-                    {"t": ev.t, "type": ev.drift_type.value,
-                     "magnitude": ev.magnitude,
-                     "transition_s": ev.transition_s,
-                     "recovery_s": ev.recovery_s}
-                    for ev in e.drift_events
-                ],
-            }
-            for e in scenario.ends
-        ],
-    }
+    return {**_fields_doc(scenario), "schema_version": SCHEMA_VERSION, "ends": [
+        {**_fields_doc(e), "arch": arch_to_doc(e.arch),
+         "drift_events": [_fields_doc(ev) for ev in e.drift_events]}
+        for e in scenario.ends]}
 
 
-def _given(doc: dict, *keys: str, **convert: Callable) -> dict:
-    """Keyword arguments for those of ``keys`` and ``convert``'s keys that
-    ``doc`` has, the latter passed through their function; a key ``doc``
-    lacks is left out, so the dataclass default applies."""
-    kwargs = {k: doc[k] for k in keys if k in doc}
-    kwargs.update((k, fn(doc[k])) for k, fn in convert.items() if k in doc)
+def _given(doc: dict, cls, **convert: Callable) -> dict:
+    """Keyword arguments for the fields of ``cls`` whose keys ``doc`` has,
+    each through ``convert``'s function for the field where it names one; a
+    field ``doc`` lacks is left out, so the dataclass default applies, or
+    raises KeyError naming its key if it has no default."""
+    kwargs = {}
+    for f in fields(cls):
+        key = _JSON_KEYS.get(f.name, f.name)
+        if key in doc:
+            kwargs[f.name] = convert[f.name](doc[key]) if f.name in convert else doc[key]
+        elif f.default is MISSING:
+            raise KeyError(key)
     return kwargs
 
 
 def _end_from_doc(e: dict) -> MobileEndSpec:
-    spec = _given(e, "frame_rate", "frame_bytes", "base_accuracy", "decay", "work_per_frame")
-    if "gain_curve" in e:
-        spec["gain_curve_truth"] = AccuracyCurve(**e["gain_curve"])
-    return MobileEndSpec(
-        end_id=e["end_id"],
-        arch=arch_from_doc(e["arch"]),
-        drift_events=tuple(
-            DriftInjection(t=ev["t"], drift_type=DriftType(ev["type"]),
-                           magnitude=ev["magnitude"], transition_s=ev["transition_s"],
-                           **_given(ev, "recovery_s"))
-            for ev in e.get("drift_events", [])
-        ),
-        **spec,
-    )
+    return MobileEndSpec(**_given(
+        e, MobileEndSpec, arch=arch_from_doc, gain_curve_truth=lambda d: AccuracyCurve(**d),
+        drift_events=lambda events: tuple(
+            DriftInjection(**_given(ev, DriftInjection, drift_type=DriftType))
+            for ev in events)))
 
 
 def scenario_from_json(doc: dict) -> Scenario:
+    if not isinstance(doc, dict):
+        raise ValueError(f"invalid scenario: expected a JSON object, not {type(doc).__name__}")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r} "
                          f"(expected {SCHEMA_VERSION})")
     try:
-        ends = tuple(_end_from_doc(e) for e in doc["ends"])
-        return Scenario(
-            seed=int(doc["seed"]),
-            ends=ends,
-            **_given(doc, "uplink_mbps", "downlink_mbps", "duration", "epochs",
-                     "data_reduction", "unfrozen_fraction", "lookahead_factor",
-                     server=lambda d: ServerSpec(**d),
-                     grouping=lambda d: GroupingConfig(**d),
-                     sampler=lambda d: SamplerConfig(**d),
-                     detector=lambda d: DetectorConfig(**d),
-                     policy=Policy),
-        )
+        return Scenario(**_given(
+            doc, Scenario, ends=lambda ends: tuple(map(_end_from_doc, ends)),
+            server=lambda d: ServerSpec(**d), grouping=lambda d: GroupingConfig(**d),
+            sampler=lambda d: SamplerConfig(**d), detector=lambda d: DetectorConfig(**d),
+            policy=Policy))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"invalid scenario: {exc}") from exc
 
 
 def load_scenario(path) -> Scenario:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return scenario_from_json(doc)
+    return scenario_from_json(read_json(path))
 
 
 def save_scenario(path, scenario: Scenario) -> None:
@@ -836,34 +817,23 @@ METRICS_COLUMNS = [
 
 
 def write_metrics_csv(path, metrics: SimMetrics) -> None:
+    """One row per finished task: each column's attribute, a number as its repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRICS_COLUMNS)
         for m in metrics.tasks:
-            writer.writerow([
-                m.task_id, m.end_id, repr(m.urgency), repr(m.trigger_t),
-                repr(m.t_infer), repr(m.t_upload), repr(m.t_schedule),
-                repr(m.t_retrain), repr(m.t_download), repr(m.avg_accuracy),
-                repr(m.qoe),
-            ])
+            values = [getattr(m, column) for column in METRICS_COLUMNS]
+            writer.writerow([v if isinstance(v, str) else repr(v) for v in values])
 
 
 def write_summary_json(path, metrics: SimMetrics, scenario: Scenario) -> None:
-    doc = {
-        "policy": scenario.policy.value,
-        "seed": scenario.seed,
-        "n_tasks": metrics.n_tasks,
-        "mean_evolving_time": metrics.mean_evolving_time,
-        "mean_t_schedule": metrics.mean_t_schedule,
-        "mean_t_retrain": metrics.mean_t_retrain,
-    }
-    if metrics.report is not None:
-        doc.update({
-            "q_avg": metrics.report.q_avg,
-            "q_t": metrics.report.q_t,
-            "sd_schedule": metrics.report.sd_schedule,
-            "sd_retrain": metrics.report.sd_retrain,
-        })
+    """Policy, seed, task count, and the float fields of ``metrics`` and of
+    its QoE report when there is one."""
+    doc = {"policy": scenario.policy.value, "seed": scenario.seed, "n_tasks": metrics.n_tasks}
+    for record in (metrics, metrics.report):
+        if record is not None:
+            doc.update((f.name, getattr(record, f.name))
+                       for f in fields(record) if f.type == "float")
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

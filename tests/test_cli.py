@@ -81,16 +81,32 @@ class TestSimulate:
     @pytest.mark.parametrize("section, field, value", [
         ("sampler", "r_f", 0.0), ("sampler", "r_f", float("inf")),
         ("detector", "rod_threshold", float("nan")),
+        ("server", "compute_capacity", float("nan")), ("server", "gpu_count", 1.5),
+        (None, "duration", float("inf")), (None, "lookahead_factor", float("nan")),
+        (None, "lookahead_factor", -1.0), (None, "epochs", 2.5), (None, "seed", 3.7),
+        ("ends.0", "frame_rate", float("inf")), ("ends.0", "decay", float("nan")),
+        ("ends.0.drift_events.0", "t", float("nan")),
     ])
     def test_bad_setting_is_input_error(self, scenario_path, tmp_path, capsys,
                                         section, field, value):
+        """``section`` is a dotted path into the document, None its top level."""
         doc = json.loads(scenario_path.read_text())
-        doc[section][field] = value
+        target = doc
+        for key in section.split(".") if section else ():
+            target = target[int(key)] if key.isdigit() else target[key]
+        target[field] = value
         scenario_path.write_text(json.dumps(doc))
         rc = main(["simulate", "--scenario", str(scenario_path),
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_INPUT
-        assert field in capsys.readouterr().err
+        assert f"{field} must" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [[], "scenario"])
+    def test_non_object_scenario_is_input_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--scenario", str(path)]) == EXIT_INPUT
+        assert "JSON object" in capsys.readouterr().err
 
     def test_uncaught_exception_is_internal_error(self, scenario_path, tmp_path,
                                                   monkeypatch, capsys):
@@ -112,6 +128,32 @@ def test_sweep_runs_all(scenario_path, tmp_path):
     assert main(["sweep", "--sweep", str(listing), "--out", str(out)]) == EXIT_OK
     assert (out / "scenario_metrics.csv").exists()
     assert (out / "scenario_summary.json").exists()
+
+
+def test_sweep_rejects_paths_sharing_a_stem(scenario_path, tmp_path, capsys):
+    """Two scenario files with one stem would write the same outputs."""
+    paths = []
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        paths.append(tmp_path / sub / "scenario.json")
+        paths[-1].write_bytes(scenario_path.read_bytes())
+    listing = tmp_path / "sweep.txt"
+    listing.write_text("".join(f"{p}\n" for p in paths))
+    out = tmp_path / "out"
+    assert main(["sweep", "--sweep", str(listing), "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert str(paths[0]) in err and str(paths[1]) in err
+    assert not (out / "scenario_metrics.csv").exists()
+
+
+@pytest.mark.parametrize("command, flag", [("profile-memory", "--arch"),
+                                           ("schedule", "--tasks")])
+def test_invalid_json_names_its_file(tmp_path, capsys, command, flag):
+    path = tmp_path / "input.json"
+    path.write_text("{not json")
+    argv = [command, flag, str(path)] + (["--capacity", "10"] if command == "schedule" else [])
+    assert main(argv) == EXIT_INPUT
+    assert f"{path}: invalid JSON at line 1" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -13,6 +13,10 @@ became idle moves the contended-2 default-gpu and serial-fifo digests and
 all five whole-second ones.  A change to the simulator
 that moves any output byte, even by one ulp, fails here; if the change is
 meant to move outputs, record the new digests and say why in CHANGES.md.
+
+The codec digests pin the files ``save_scenario`` writes for the six
+scenarios and ``write_arch_json`` writes for each distinct architecture in
+them; they were recorded while every codec still named each field by hand.
 """
 import hashlib
 from dataclasses import replace
@@ -20,7 +24,9 @@ from dataclasses import replace
 import pytest
 
 from evosched.drift import DetectorConfig, DriftType
-from evosched.profiler import MB, AccuracyCurve, LayerKind, LayerSpec, ModelArch
+from evosched.profiler import (
+    MB, AccuracyCurve, LayerKind, LayerSpec, ModelArch, write_arch_json,
+)
 from evosched.simenv import (
     DriftInjection,
     MobileEndSpec,
@@ -28,6 +34,7 @@ from evosched.simenv import (
     Scenario,
     ServerSpec,
     run,
+    save_scenario,
     write_metrics_csv,
     write_summary_json,
     write_traces,
@@ -194,6 +201,39 @@ TRACE_DIGESTS = {
     "mixed-drift": "64669eb73095fc8bf938f1caa6473d346a7120d2091ea21ff351ad330a612055",
 }
 
+SCENARIO_DIGESTS = {
+    "bench-0": "12c9743cefefe3c6e1b3fcd3e96e9133b75dc7e24651606322ac8d5e18d31b32",
+    "contended": "bac9ddf4f202ed9ff7b112f2c6f787108da2810fd40001c0f1d84cd101419023",
+    "contended-2": "a9d920eecadb40c0bc9f0b6c55848262e0685dd77f63fb3728f933e282e474ea",
+    "fleet-like": "d19c410bb264c2f0b28d014fc93d46cf2cab586bf92bee5b9adac4acd76df56b",
+    "mixed-drift": "0abeaece99c1d77e05b082e72dbce3aaf2168fdaa8743b8a38a275c0fcd7b40f",
+    "whole-second-0": "74fd8eacc449fb6ae4231d951740e5f5fda7709467fc39173fb8945b50cf6d9e",
+}
+
+ARCH_DIGESTS = {
+    "0420cfe210b3ccff0411d4b307ce9a53b89e3767e3fe77ed590e57aa32894c1c",
+    "2e0975ddad91dc348d52a9dc56b37c3da989954cb4fa22b3ede33ab3acfa027f",
+    "3422ae5437f0157863592f07029328d926056006a8e1f618a396bae55883c236",
+    "3754b11a3acf8142ee8ef14e02cff5513c8f958a4676aea03c2f18ecc8898012",
+    "419d6a75cc08600612290536cd820194b9f20c1675e546255faefc0ef7ce5807",
+    "4ef7eacd9d6845959974d7c1ef599b56e3a8ef7e63f1ea8100a76af65c839986",
+    "4f1ab6cd314ab41f9ca77f02a2d19c67159c8e1ef87364de14b617bec83c1a24",
+    "571ae73e694df15a50c36df928f29d36e012d6fc3a4c1448d232865d68041cc1",
+    "5b2c5ac9f3ba1b77a44c3e749b78ef485c203befc2b1de468ab105ed01500f48",
+    "78f5202c6fe2bd85ab683c2fa789a94055ec377aa3d319213e1bb5013451629d",
+    "7bb200ec6883af3ee7878964d461dd838de13c81377b9b938e9e4a4373419aa8",
+    "7fa3ea61b9ce14a5da1a1b083240b6c0b425725dcdcba59a2b3b9120066ebc73",
+    "82cadd37d8ebb6bce91a45bd306e521e067be8976b748f41ce3e98d9e799a203",
+    "88b8265297170bd91a25eb2133f8fa76864af80cac9acad2c08672bb903e9fdc",
+    "92e9b4360e5cfe33c402334fa1c1b3f8e2d5b3bc67ffd4c3fa650679bbd04285",
+    "b176bf7957158d86244a4fd5d40a843f642767705dac1c7a02f69c341a918b69",
+    "b5e3887548c2f7c5d2a21baf232e9bebc6e3f19f375ffd307692c3c23627b73b",
+    "ceb849be6ac7243a0eed608362f4b208dd051ef76682d8fd438fb46bc2e65dd1",
+    "e198a4fcb140e3fd3e4500268a2169333c8cb1df12f966d009a463c1e68bf7ae",
+    "f21a301a2538a1a2d1746b82f07ebfa9aeb8cc7b71b5b8b1c29c873d009fa56b",
+    "f5b47740b8cb05ff096fc0f87e35b5dd275151a009a09f974fda68baa2fa4ded",
+}
+
 SCENARIOS = {"bench-0": lambda: bench_scenario(0), "contended": contended_scenario,
              "contended-2": lambda: replace(contended_scenario(), seed=2),
              "mixed-drift": mixed_drift_scenario, "whole-second-0": whole_second_scenario,
@@ -225,3 +265,21 @@ def trace_digest(scenario, tmp_path):
 @pytest.mark.parametrize("name", sorted(TRACE_DIGESTS))
 def test_traces_match_golden_digests(name, tmp_path):
     assert trace_digest(SCENARIOS[name](), tmp_path) == TRACE_DIGESTS[name]
+
+
+def file_digest(write, obj, path):
+    """sha256 of the file ``write(path, obj)`` leaves."""
+    write(path, obj)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_DIGESTS))
+def test_scenario_file_matches_golden_digest(name, tmp_path):
+    got = file_digest(save_scenario, SCENARIOS[name](), tmp_path / "scenario.json")
+    assert got == SCENARIO_DIGESTS[name]
+
+
+def test_arch_files_match_golden_digests(tmp_path):
+    archs = {end.arch for make in SCENARIOS.values() for end in make().ends}
+    assert {file_digest(write_arch_json, arch, tmp_path / "arch.json")
+            for arch in archs} == ARCH_DIGESTS

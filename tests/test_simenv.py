@@ -1,5 +1,8 @@
+import functools
 import math
-from dataclasses import replace
+import tempfile
+from dataclasses import MISSING, fields, is_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,9 +13,11 @@ from evosched import simenv
 from evosched.drift import (
     Detection, DetectorConfig, DriftDetector, DriftType, FrameRecord, FrameTrace,
 )
-from evosched.profiler import MB, LayerKind, LayerSpec, ModelArch, arch_to_doc
+from evosched.profiler import (
+    MB, AccuracyCurve, LayerKind, LayerSpec, ModelArch, arch_from_doc, arch_to_doc,
+)
 from evosched.sampler import SamplerConfig
-from evosched.scheduler import EvolutionTask, GpuPool, RunningEntry
+from evosched.scheduler import EvolutionTask, GpuPool, GroupingConfig, RunningEntry
 from evosched.simenv import (
     FEATURE_DIM,
     PIXEL_OLD_FRACTION,
@@ -30,7 +35,9 @@ from evosched.simenv import (
     default_centroids,
     gen_trace,
     ground_truth_retrain_seconds,
+    load_scenario,
     run,
+    save_scenario,
     scenario_from_json,
     scenario_to_json,
     synth_regressor_samples,
@@ -564,6 +571,14 @@ class TestScenarioJson:
         assert scenario_from_json(doc) == replace(
             want, ends=(replace(want.ends[0], drift_events=()),))
 
+    def test_integral_numbers_stored_as_int(self):
+        doc = scenario_to_json(scenario([sudden_end()]))
+        doc.update(seed=7.0, epochs=3.0)
+        doc["server"]["gpu_count"] = 2.0
+        sc = scenario_from_json(doc)
+        assert [type(v) for v in (sc.seed, sc.epochs, sc.server.gpu_count)] == [int] * 3
+        assert (sc.seed, sc.epochs, sc.server.gpu_count) == (7, 3, 2)
+
     def test_schema_version_checked(self):
         doc = scenario_to_json(scenario([sudden_end()]))
         doc["schema_version"] = SCHEMA_VERSION + 1
@@ -586,6 +601,136 @@ class TestScenarioJson:
         assert doc["policy"] == "serial-fifo"
         assert doc["n_tasks"] == metrics.n_tasks
         assert "q_t" in doc
+
+
+def _unlike(default, strategy):
+    return strategy.filter(lambda value: value != default)
+
+
+@functools.lru_cache(maxsize=256)  # a strategy is validated on its first draw
+def _real(lo, hi, default):
+    return _unlike(default, st.floats(lo, hi, allow_nan=False, allow_infinity=False))
+
+
+@functools.lru_cache(maxsize=256)
+def _int(lo, hi, default):
+    return _unlike(default, st.integers(lo, hi))
+
+
+@st.composite
+def _layers(draw):
+    return LayerSpec(kind=draw(st.sampled_from(LayerKind)), c_in=draw(st.integers(1, 64)),
+                     c_out=draw(st.integers(1, 64)), k1=draw(_int(1, 7, 1)),
+                     k2=draw(_int(1, 7, 1)), s1=draw(_int(1, 3, 1)), s2=draw(_int(1, 3, 1)),
+                     p1=draw(_int(0, 3, 0)), p2=draw(_int(0, 3, 0)))
+
+
+_archs = st.builds(ModelArch, layers=st.lists(_layers(), min_size=1, max_size=3),
+                   bitwidth=st.sampled_from((8, 16)), input_w=_int(1, 512, 224),
+                   input_h=_int(1, 512, 224), batch=_int(2, 64, 1))
+
+
+@st.composite
+def _drift_events(draw):
+    real = st.floats(0.0, 1e4, allow_nan=False)
+    onsets = sorted(draw(st.lists(real, min_size=1, max_size=3)))
+    return tuple(DriftInjection(t=t, drift_type=draw(st.sampled_from(DriftType)),
+                                magnitude=draw(st.floats(1e-3, 0.999)),
+                                transition_s=draw(st.floats(0.0, 500.0)),
+                                recovery_s=draw(_real(0.0, 500.0, 150.0)))
+                 for t in onsets)
+
+
+@st.composite
+def _ends(draw, end_id):
+    curve = AccuracyCurve(a_max=draw(_real(0.1, 1.0, 0.82)), b=draw(_real(0.0, 5.0, 0.5)),
+                          c=draw(_real(0.0, 5.0, 1.0)))
+    return MobileEndSpec(end_id=end_id, arch=draw(_archs), drift_events=draw(_drift_events()),
+                         frame_rate=draw(_real(0.01, 60.0, 1.0)),
+                         frame_bytes=draw(_real(1.0, 1e7, 200_000.0)),
+                         base_accuracy=draw(_real(1e-3, 1.0, 0.8)),
+                         decay=draw(_real(0.0, 0.1, 0.002)), gain_curve_truth=curve,
+                         work_per_frame=draw(_real(1e-3, 10.0, 1.0)))
+
+
+@st.composite
+def _scenarios(draw):
+    """A scenario whose every field, and every field of every dataclass it
+    holds, differs from its default."""
+    n_min = draw(_int(1, 6, 3))
+    lambda_min = draw(_real(-50.0, 50.0, 0.0))
+    grouping = GroupingConfig(n_max=draw(_int(n_min, 40, 12)), n_min=n_min,
+                              eps_range=draw(_real(1e-3, 100.0, 35.0)),
+                              sigma=draw(_real(1e-3, 50.0, GroupingConfig.sigma)),
+                              lambda_min=lambda_min,
+                              lambda_max=lambda_min + draw(_real(1e-3, 200.0, 100.0 - lambda_min)))
+    r_max = draw(_real(1e-3, 5.0, 1.0))
+    sampler = SamplerConfig(r_f=draw(_real(1e-3, 5.0, 0.6)), r0=draw(_real(1e-4, r_max, 0.1)),
+                            delta_r=draw(_real(0.0, 1.0, 0.05)), r_max=r_max,
+                            eps1=draw(_real(1e-3, 1.0, 0.55)), eps2=draw(_real(1e-3, 1.0, 0.2)),
+                            frame_w=draw(_int(1, 4096, 1280)), frame_h=draw(_int(1, 4096, 720)))
+    sub_windows = draw(_int(1, 12, 3))
+    detector = DetectorConfig(window_frames=draw(_int(1, 300, 90)), sub_windows=sub_windows,
+                              temp_window_frames=sub_windows * draw(_int(1, 20, 90 / sub_windows)),
+                              rod_threshold=draw(_real(1e-3, 1.0, 0.55)),
+                              variance_threshold=draw(_real(1e-6, 1.0, 0.045 ** 2)),
+                              tau=draw(_real(1e-3, 500.0, 90.0)),
+                              d0_factor=draw(_real(1e-3, 5.0, 0.2)))
+    n_ends = draw(st.integers(1, 3))
+    ends = tuple(draw(_ends(f"end-{i}")) for i in range(n_ends))
+    server = ServerSpec(mem_capacity_mb=draw(_real(1.0, 1e6, 8192.0)),
+                        compute_capacity=draw(_real(1e-3, 1e3, 8.0)),
+                        gpu_count=draw(_int(2, 16, 1)))
+    return Scenario(seed=draw(st.integers(0, 2 ** 32 - 1)), ends=ends, server=server,
+                    uplink_mbps=draw(_real(1e-3, 1e3, 10.0)),
+                    downlink_mbps=draw(_real(1e-3, 1e3, 20.0)),
+                    policy=draw(_unlike(Policy.ADAPTIVE, st.sampled_from(Policy))),
+                    duration=draw(_real(1.0, 1e5, 600.0)), grouping=grouping, sampler=sampler,
+                    detector=detector, epochs=draw(_int(1, 100, 10)),
+                    data_reduction=draw(_real(1e-3, 1.0, 1.0)),
+                    unfrozen_fraction=draw(_real(1e-3, 1.0, 0.31)),
+                    lookahead_factor=draw(_real(0.0, 10.0, 0.1)))
+
+
+def _names(cls, **renamed):
+    """Field names of ``cls``, each in ``renamed`` under its JSON key."""
+    return {renamed.get(f.name, f.name) for f in fields(cls)}
+
+
+def _assert_no_defaults(obj):
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        assert f.default is MISSING or value != f.default, f"{type(obj).__name__}.{f.name}"
+        for item in value if isinstance(value, tuple) else (value,):
+            if is_dataclass(item):
+                _assert_no_defaults(item)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sc=_scenarios())
+def test_scenario_codec_round_trips_every_field(sc):
+    _assert_no_defaults(sc)
+    doc = scenario_to_json(sc)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        save_scenario(path, sc)
+        loaded = load_scenario(path)
+    # repr tells apart values that compare equal: an enum member and its
+    # string, an int and its float
+    for got in (scenario_from_json(doc), loaded):
+        assert got == sc and repr(got) == repr(sc)
+    assert set(doc) == _names(Scenario) | {"schema_version"}
+    for section, cls in (("server", ServerSpec), ("grouping", GroupingConfig),
+                         ("sampler", SamplerConfig), ("detector", DetectorConfig)):
+        assert set(doc[section]) == _names(cls)
+    for end, end_doc in zip(sc.ends, doc["ends"]):
+        assert repr(arch_from_doc(arch_to_doc(end.arch))) == repr(end.arch)
+        assert set(end_doc) == _names(MobileEndSpec, gain_curve_truth="gain_curve")
+        assert set(end_doc["gain_curve"]) == _names(AccuracyCurve)
+        assert set(end_doc["arch"]) == _names(ModelArch)
+        assert all(set(layer) == _names(LayerSpec) for layer in end_doc["arch"]["layers"])
+        assert all(set(ev) == _names(DriftInjection, drift_type="type")
+                   for ev in end_doc["drift_events"])
 
 
 class TestCostModel:
