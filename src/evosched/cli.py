@@ -12,7 +12,7 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import asdict, replace
+from dataclasses import replace
 from typing import Optional, Sequence
 
 EXIT_OK = 0
@@ -79,27 +79,25 @@ def cmd_sweep(args) -> int:
 
 def cmd_drift_detect(args) -> int:
     from .drift import DetectorConfig, DriftDetector, read_trace_csv
+    from .profiler import fields_doc
     frames = read_trace_csv(args.trace)
     detector = DriftDetector(DetectorConfig())
     for frame in frames:
         event = detector.update(frame)
         if event is not None:
-            doc = asdict(event)
-            doc["type"] = doc.pop("drift_type").value
-            print(json.dumps(doc, sort_keys=True))
+            print(json.dumps(fields_doc(event), sort_keys=True))
     return EXIT_OK
 
 
 def cmd_profile_memory(args) -> int:
-    from .profiler import memory_demand, read_arch_json
-    arch = read_arch_json(args.arch)
-    breakdown = memory_demand(arch)
-    print(json.dumps({**asdict(breakdown), "total": breakdown.total}, sort_keys=True))
+    from .profiler import fields_doc, memory_demand, read_arch_json
+    breakdown = memory_demand(read_arch_json(args.arch))
+    print(json.dumps({**fields_doc(breakdown), "total": breakdown.total}, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_schedule(args) -> int:
-    from .profiler import read_json
+    from .profiler import fields_doc, read_json
     from .scheduler import EvolutionTask, select_tasks
     if args.capacity <= 0:
         raise ValueError("capacity must be positive MB")
@@ -121,7 +119,7 @@ def cmd_schedule(args) -> int:
             tasks.append(EvolutionTask(id=rec["id"], end_id=rec["end_id"], **numbers))
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{args.tasks}: bad task record {i} {doc[i]!r}: {exc}") from exc
-    doc = asdict(select_tasks(tasks, args.capacity))
+    doc = fields_doc(select_tasks(tasks, args.capacity))
     del doc["decision_t"]  # the command takes no decision time
     print(json.dumps(doc, sort_keys=True))
     return EXIT_OK

@@ -6,8 +6,33 @@ over small value types.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
+
+
+def check_numbers(obj) -> None:
+    """Reject a value of a ``float`` or ``int`` field of dataclass ``obj``
+    that is not a finite number, and a fractional one of an ``int`` field,
+    naming the field; store each ``int`` field as an int.  An ``int`` field
+    takes an int of any size.  (The callers' annotations are strings.)"""
+    for f in fields(obj):
+        if f.type not in ("float", "int"):
+            continue
+        value = getattr(obj, f.name)
+        if f.type == "int" and isinstance(value, int):
+            continue
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int beyond the range of a float
+            finite = False
+        except TypeError:
+            raise ValueError(f"{f.name} must be a number") from None
+        if not finite:
+            raise ValueError(f"{f.name} must be finite")
+        if f.type == "int":
+            if value != int(value):
+                raise ValueError(f"{f.name} must be an integer")
+            object.__setattr__(obj, f.name, int(value))
 
 
 @dataclass(frozen=True)

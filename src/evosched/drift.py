@@ -19,6 +19,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .core import check_numbers
+
 
 class DriftType(str, Enum):
     SUDDEN = "sudden"
@@ -157,9 +159,7 @@ class DetectorConfig:
     d0_factor: float = 0.2
 
     def __post_init__(self):
-        for name in ("rod_threshold", "variance_threshold", "tau", "d0_factor"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        check_numbers(self)
         if min(self.window_frames, self.sub_windows, self.temp_window_frames) <= 0:
             raise ValueError("window sizes must be positive")
         if self.rod_threshold <= 0 or self.variance_threshold <= 0:

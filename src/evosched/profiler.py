@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from typing import List, Sequence, Tuple
 
@@ -142,12 +142,26 @@ def memory_demand(arch: ModelArch, workspace_bytes: float = DEFAULT_WORKSPACE_BY
 
 # --- architecture descriptor file (JSON) ------------------------------------
 
+# Fields a JSON document stores under another key; the rest go under their names.
+JSON_KEYS = {"gain_curve_truth": "gain_curve", "drift_type": "type"}
+
+
+def fields_doc(value):
+    """``value`` as JSON: a dataclass as an object of its fields, each under
+    its key, a tuple as a list, an enum as its value, anything else as is."""
+    if is_dataclass(value):
+        return {JSON_KEYS.get(f.name, f.name): fields_doc(getattr(value, f.name))
+                for f in fields(value)}
+    if isinstance(value, tuple):
+        return [fields_doc(v) for v in value]
+    return value.value if isinstance(value, Enum) else value
+
+
 def arch_to_doc(arch: ModelArch) -> dict:
     """JSON document of an architecture, as arch files and scenarios hold it:
-    its fields with ``layers`` last, each layer's fields with the kind's value."""
-    doc = {f.name: getattr(arch, f.name) for f in fields(arch) if f.name != "layers"}
-    doc["layers"] = [{f.name: getattr(layer, f.name) for f in fields(layer)}
-                     | {"kind": layer.kind.value} for layer in arch.layers]
+    its fields with ``layers`` last, each layer's fields with ``kind`` first."""
+    doc = fields_doc(arch)
+    doc["layers"] = doc.pop("layers")
     return doc
 
 

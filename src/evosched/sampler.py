@@ -12,6 +12,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
+from .core import check_numbers
 from .drift import FrameRecord, FrameTrace
 
 RATE_STEP_SECONDS = 30.0  # segment length of the linear-rate schedule
@@ -29,9 +30,7 @@ class SamplerConfig:
     frame_h: int = 720
 
     def __post_init__(self):
-        for name in ("r_f", "r0", "delta_r", "r_max", "eps1", "eps2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        check_numbers(self)
         if self.r_f <= 0:
             raise ValueError("r_f must be positive")
         if not 0 < self.r0 <= self.r_max:

@@ -15,6 +15,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .core import check_numbers
+
 
 @dataclass
 class EvolutionTask:
@@ -48,6 +50,7 @@ class GroupingConfig:
     lambda_max: float = 100.0
 
     def __post_init__(self):
+        check_numbers(self)
         if self.n_min < 1 or self.n_max < self.n_min:
             raise ValueError("need n_max >= n_min >= 1")
         if self.lambda_min >= self.lambda_max:

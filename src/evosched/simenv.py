@@ -12,7 +12,7 @@ import csv
 import heapq
 import json
 import math
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -22,6 +22,7 @@ from .core import (
     LifeCycle,
     QoEReport,
     UrgencyInput,
+    check_numbers,
     penalized_average_qoe,
     penalty_weights_for_cycles,
     qoe_single,
@@ -36,11 +37,12 @@ from .drift import (
     write_trace_csv,
 )
 from .profiler import (
+    JSON_KEYS,
     MB,
     AccuracyCurve,
     ModelArch,
     arch_from_doc,
-    arch_to_doc,
+    fields_doc,
     memory_demand,
     param_count,
     read_json,
@@ -69,26 +71,6 @@ SCHEMA_VERSION = 1
 ACCURACY_FLOOR = 0.05
 
 
-def _check_numbers(obj) -> None:
-    """Reject a value of a ``float`` or ``int`` field of dataclass ``obj``
-    that is not a finite number, and a fractional one of an ``int`` field,
-    naming the field; store each ``int`` field as an int.  (Annotations are
-    strings here.)"""
-    for f in fields(obj):
-        if f.type in ("float", "int"):
-            value = getattr(obj, f.name)
-            try:
-                finite = math.isfinite(value)
-            except TypeError:
-                raise ValueError(f"{f.name} must be a number") from None
-            if not finite:
-                raise ValueError(f"{f.name} must be finite")
-            if f.type == "int":
-                if value != int(value):
-                    raise ValueError(f"{f.name} must be an integer")
-                object.__setattr__(obj, f.name, int(value))
-
-
 class Policy(str, Enum):
     ADAPTIVE = "adaptive"            # grouping + knapsack + proportional compute
     DEFAULT_GPU = "default-gpu"      # FIFO admission, equal compute time-slices
@@ -106,7 +88,7 @@ class DriftInjection:
     recovery_s: float = 150.0  # CLC returns to base this long after settling
 
     def __post_init__(self):
-        _check_numbers(self)
+        check_numbers(self)
         if self.t < 0 or self.transition_s < 0 or self.recovery_s < 0:
             raise ValueError("times must be non-negative")
         if not 0 < self.magnitude < 1:
@@ -126,7 +108,7 @@ class MobileEndSpec:
     work_per_frame: float = 1.0    # compute-seconds per frame per epoch
 
     def __post_init__(self):
-        _check_numbers(self)
+        check_numbers(self)
         if self.frame_rate <= 0 or self.frame_bytes <= 0:
             raise ValueError("frame_rate and frame_bytes must be positive")
         if not 0 < self.base_accuracy <= 1:
@@ -146,7 +128,7 @@ class ServerSpec:
     gpu_count: int = 1
 
     def __post_init__(self):
-        _check_numbers(self)
+        check_numbers(self)
         if self.mem_capacity_mb <= 0 or self.compute_capacity <= 0 or self.gpu_count < 1:
             raise ValueError("server capacities must be positive")
 
@@ -177,7 +159,7 @@ class Scenario:
     lookahead_factor: float = 0.1
 
     def __post_init__(self):
-        _check_numbers(self)
+        check_numbers(self)
         if not self.ends:
             raise ValueError("scenario needs at least one end")
         if self.uplink_mbps <= 0 or self.downlink_mbps <= 0:
@@ -733,29 +715,8 @@ def run(scenario: Scenario) -> SimMetrics:
 
 # --- scenario JSON ----------------------------------------------------------
 
-# Fields a scenario file stores under another key; the rest go under their names.
-_JSON_KEYS = {"gain_curve_truth": "gain_curve", "drift_type": "type"}
-
-
-def _fields_doc(obj) -> dict:
-    """Dataclass ``obj`` as a JSON object: each field under its key, a nested
-    dataclass as its own such object and an enum as its value."""
-    doc = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if is_dataclass(value):
-            value = _fields_doc(value)
-        elif isinstance(value, Enum):
-            value = value.value
-        doc[_JSON_KEYS.get(f.name, f.name)] = value
-    return doc
-
-
 def scenario_to_json(scenario: Scenario) -> dict:
-    return {**_fields_doc(scenario), "schema_version": SCHEMA_VERSION, "ends": [
-        {**_fields_doc(e), "arch": arch_to_doc(e.arch),
-         "drift_events": [_fields_doc(ev) for ev in e.drift_events]}
-        for e in scenario.ends]}
+    return {**fields_doc(scenario), "schema_version": SCHEMA_VERSION}
 
 
 def _given(doc: dict, cls, **convert: Callable) -> dict:
@@ -765,7 +726,7 @@ def _given(doc: dict, cls, **convert: Callable) -> dict:
     raises KeyError naming its key if it has no default."""
     kwargs = {}
     for f in fields(cls):
-        key = _JSON_KEYS.get(f.name, f.name)
+        key = JSON_KEYS.get(f.name, f.name)
         if key in doc:
             kwargs[f.name] = convert[f.name](doc[key]) if f.name in convert else doc[key]
         elif f.default is MISSING:

@@ -86,6 +86,10 @@ class TestSimulate:
         (None, "lookahead_factor", -1.0), (None, "epochs", 2.5), (None, "seed", 3.7),
         ("ends.0", "frame_rate", float("inf")), ("ends.0", "decay", float("nan")),
         ("ends.0.drift_events.0", "t", float("nan")),
+        ("grouping", "sigma", float("nan")), ("grouping", "lambda_max", float("nan")),
+        ("sampler", "frame_w", 2.5), ("detector", "window_frames", 2.5),
+        ("sampler", "frame_h", float("inf")),
+        pytest.param(None, "duration", 10 ** 400, id="None-duration-1e400"),
     ])
     def test_bad_setting_is_input_error(self, scenario_path, tmp_path, capsys,
                                         section, field, value):
@@ -100,6 +104,15 @@ class TestSimulate:
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_INPUT
         assert f"{field} must" in capsys.readouterr().err
+
+    def test_seed_of_any_size_runs(self, scenario_path, tmp_path):
+        doc = json.loads(scenario_path.read_text())
+        doc["seed"] = 10 ** 400  # beyond the range of a float
+        scenario_path.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["simulate", "--scenario", str(scenario_path),
+                     "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["seed"] == 10 ** 400
 
     @pytest.mark.parametrize("doc", [[], "scenario"])
     def test_non_object_scenario_is_input_error(self, tmp_path, capsys, doc):
