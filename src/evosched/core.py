@@ -5,6 +5,7 @@ over small value types.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
@@ -15,24 +16,28 @@ def check_numbers(obj) -> None:
     that is not a finite number, and a fractional one of an ``int`` field,
     naming the field; store each ``int`` field as an int.  An ``int`` field
     takes an int of any size.  (The callers' annotations are strings.)"""
-    for f in fields(obj):
-        if f.type not in ("float", "int"):
-            continue
-        value = getattr(obj, f.name)
-        if f.type == "int" and isinstance(value, int):
+    for name, integral in _numeric_fields(type(obj)):
+        value = getattr(obj, name)
+        if integral and isinstance(value, int):
             continue
         try:
             finite = math.isfinite(value)
         except OverflowError:  # an int beyond the range of a float
             finite = False
         except TypeError:
-            raise ValueError(f"{f.name} must be a number") from None
+            raise ValueError(f"{name} must be a number") from None
         if not finite:
-            raise ValueError(f"{f.name} must be finite")
-        if f.type == "int":
+            raise ValueError(f"{name} must be finite")
+        if integral:
             if value != int(value):
-                raise ValueError(f"{f.name} must be an integer")
-            object.__setattr__(obj, f.name, int(value))
+                raise ValueError(f"{name} must be an integer")
+            object.__setattr__(obj, name, int(value))
+
+
+@functools.lru_cache(maxsize=None)
+def _numeric_fields(cls) -> tuple:
+    """``(name, is int)`` for each ``float`` or ``int`` field of ``cls``."""
+    return tuple((f.name, f.type == "int") for f in fields(cls) if f.type in ("float", "int"))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from enum import Enum
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import check_numbers
 
@@ -52,6 +53,14 @@ class FrameRecord:
             raise ValueError("pixel_diff must be finite and non-negative")
 
 
+_COLUMNS = ("t", "cc", "lc", "pixel_diff", "clc")
+
+
+def _span(column: np.ndarray) -> Tuple[float, float]:
+    """The least and the greatest value of a column; 0 and 0 when it is empty."""
+    return (column.min(), column.max()) if len(column) else (0.0, 0.0)
+
+
 class FrameTrace(abc.Sequence):
     """A read-only, time-ordered frame sequence held as one array per field.
 
@@ -67,21 +76,25 @@ class FrameTrace(abc.Sequence):
     """
 
     def __init__(self, t, cc, lc, pixel_diff, features, categories: Tuple[int, ...]):
-        if not np.all(np.isfinite(t)):
+        # A NaN makes a column's least and greatest value NaN, so it fails
+        # every comparison below.
+        lo, hi = _span(t)
+        if not -math.inf < lo <= hi < math.inf:
             raise ValueError("t must be finite")
-        if not np.all((0.0 <= cc) & (cc <= 1.0) & (0.0 <= lc) & (lc <= 1.0)):
-            raise ValueError("cc and lc must be in [0, 1]")
-        if not np.all((0.0 <= pixel_diff) & (pixel_diff < math.inf)):
+        for column in (cc,) if lc is cc else (cc, lc):
+            lo, hi = _span(column)
+            if not 0.0 <= lo <= hi <= 1.0:
+                raise ValueError("cc and lc must be in [0, 1]")
+        lo, hi = _span(pixel_diff)
+        if not 0.0 <= lo <= hi < math.inf:
             raise ValueError("pixel_diff must be finite and non-negative")
-        if np.any(np.diff(t) <= 0):
+        if not (np.diff(t) > 0).all():
             raise ValueError("frames must arrive in strictly increasing time order")
-        self._fill(t, cc, lc, pixel_diff, features, tuple(categories))
-
-    def _fill(self, t, cc, lc, pixel_diff, features, categories) -> None:
         self.t, self.cc, self.lc, self.pixel_diff = t, cc, lc, pixel_diff
         self.clc = cc * lc  # what clc() gives for each frame
-        self.categories = categories
+        self.categories = tuple(categories)
         self._features = features
+        self._n = len(t)
         for column in (t, cc, lc, pixel_diff, self.clc):
             column.flags.writeable = False
         if not callable(features):
@@ -97,27 +110,37 @@ class FrameTrace(abc.Sequence):
     def take(self, rows) -> "FrameTrace":
         """The frames at ``rows``, a slice with a positive step or strictly
         increasing indices, as a trace that needs no checks of its own.
-        Unread features stay unread."""
+        Each column, features too, is copied from this trace on its first
+        read, so a trace taken only to be counted copies nothing."""
         if isinstance(rows, slice):
             if rows.step is not None and rows.step <= 0:
                 raise ValueError("a slice of frames needs a positive step")
+            n = len(range(*rows.indices(len(self))))
         else:
             rows = np.asarray(rows, dtype=np.intp)
-            if len(rows) and (rows[0] < 0 or np.any(np.diff(rows) <= 0)):
+            n = len(rows)
+            if n and (rows[0] < 0 or not (np.diff(rows) > 0).all()):
                 raise ValueError("frame indices must be non-negative and increasing")
-        features = self._features
-        if callable(features):
-            def features():
-                return self.features[rows]
-        else:
-            features = features[rows]
+            if n and rows[-1] >= len(self):
+                raise IndexError("frame index out of range")
         sub = object.__new__(FrameTrace)
-        sub._fill(self.t[rows], self.cc[rows], self.lc[rows], self.pixel_diff[rows],
-                  features, self.categories)
+        sub._source, sub._rows, sub._n = self, rows, n
+        sub.categories = self.categories
+        sub._features = lambda: self.features[rows]
         return sub
 
+    def __getattr__(self, name):
+        # Reached only for an attribute not set: a column of a taken trace
+        # that has not been read yet.
+        if name not in _COLUMNS:
+            raise AttributeError(name)
+        column = getattr(self._source, name)[self._rows]
+        column.flags.writeable = False
+        setattr(self, name, column)
+        return column
+
     def __len__(self) -> int:
-        return len(self.t)
+        return self._n
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -365,10 +388,13 @@ def _scan(trace: FrameTrace, start: int, stop: int,
         return None
     prefix = np.add.accumulate(np.concatenate(([0.0], v[t1_at:stop])))
     means = (prefix[sub:] - prefix[:-sub]) / sub
-    columns = [means[first_n - temp + i * sub:last_n - temp + 1 + i * sub]
-               for i in range(parts)]
-    grand = sum(columns) / parts
-    variance = sum((c - grand) ** 2 for c in columns) / parts
+    # Row i of ``windows`` holds sub-window i's mean at every n: a view.
+    tail = means[first_n - temp:]
+    windows = as_strided(tail, shape=(parts, last_n - first_n + 1),
+                         strides=(sub * tail.strides[0], tail.strides[0]), writeable=False)
+    deviation = windows - np.add.reduce(windows, axis=0) / parts
+    deviation *= deviation
+    variance = np.add.reduce(deviation, axis=0) / parts
     # These sums run in another order than the detector's, which may call a
     # compensated sum, and square by multiplying where it calls pow: they can
     # differ from its values by a few ulps, or by about (parts * eps) ** 2

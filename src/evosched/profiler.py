@@ -17,6 +17,8 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from .core import check_numbers
+
 MB = 1024 * 1024
 DEFAULT_WORKSPACE_BYTES = int(round(847.30 * MB))  # framework scratch allocation
 
@@ -42,6 +44,7 @@ class LayerSpec:
     p2: int = 0
 
     def __post_init__(self):
+        check_numbers(self)
         if self.c_in <= 0 or self.c_out <= 0:
             raise ValueError("channel counts must be positive")
         if self.kind is LayerKind.CONV:
@@ -60,6 +63,7 @@ class ModelArch:
     batch: int = 1
 
     def __post_init__(self):
+        check_numbers(self)
         if self.bitwidth not in VALID_BITWIDTHS:
             raise ValueError(f"bitwidth must be one of {VALID_BITWIDTHS}")
         if self.input_w <= 0 or self.input_h <= 0 or self.batch <= 0:
@@ -166,11 +170,12 @@ def arch_to_doc(arch: ModelArch) -> dict:
 
 
 def arch_from_doc(doc: dict) -> ModelArch:
-    """Inverse of ``arch_to_doc``: each number through ``int``, absent optional
-    fields left to their defaults, unknown keys ignored.  Raises KeyError,
-    TypeError or ValueError on a malformed document."""
+    """Inverse of ``arch_to_doc``: absent optional fields left to their
+    defaults, unknown keys ignored; an integral float is stored as an int.
+    Raises KeyError, TypeError or ValueError on a malformed document, a
+    ValueError naming the field for a fractional or non-finite number."""
     def numbers(rec: dict, cls) -> dict:
-        return {f.name: int(rec[f.name]) for f in fields(cls)
+        return {f.name: rec[f.name] for f in fields(cls)
                 if f.name in rec and f.name not in ("kind", "layers")}
 
     layers = tuple(LayerSpec(kind=LayerKind(rec["kind"]), **numbers(rec, LayerSpec))
@@ -213,6 +218,7 @@ class AccuracyCurve:
     c: float
 
     def __post_init__(self):
+        check_numbers(self)
         if self.b < 0 or self.c < 0:
             raise ValueError("b and c must be non-negative")
 

@@ -121,19 +121,33 @@ def _incremental_rows(times: np.ndarray, cfg: SamplerConfig) -> np.ndarray:
     t1, t_end = float(times[0]), float(times[-1])
     if t_end == t1:
         return np.zeros(1, dtype=np.intp)
-    picked = []
-    seg_start = t1
-    while seg_start < t_end:
-        # Trailing partial segments contribute proportionally fewer picks.
-        seg_len = min(RATE_STEP_SECONDS, t_end - seg_start)
-        n = round(linear_rate(seg_start, t1, cfg) * seg_len)
-        lo, hi = np.searchsorted(times, (seg_start, seg_start + RATE_STEP_SECONDS))
-        if n > 0 and hi > lo:
-            # as in _sudden_rows, targets past the segment's frames change nothing
-            steps = np.arange(min(n, hi - lo))
-            picked.append(lo + _pick_at_times(times[lo:hi], seg_start + steps * seg_len / n))
-        seg_start += RATE_STEP_SECONDS
-    return np.concatenate(picked) if picked else np.zeros(0, dtype=np.intp)
+    # Segment k starts at t1 + 30 + ... + 30 (k terms, summed left to right)
+    # while that is before t_end, and ends where segment k + 1 starts.
+    terms = np.full(int((t_end - t1) / RATE_STEP_SECONDS) + 3, RATE_STEP_SECONDS)
+    terms[0] = t1
+    edges = np.add.accumulate(terms)
+    edges = edges[:np.searchsorted(edges, t_end) + 1]
+    starts = edges[:-1]
+    bounds = np.searchsorted(times, edges)
+    lo, hi = bounds[:-1], bounds[1:]
+    # linear_rate and round, per segment.  Trailing partial segments
+    # contribute proportionally fewer picks.
+    seg_len = np.minimum(RATE_STEP_SECONDS, t_end - starts)
+    rate = np.minimum(cfg.r_max, cfg.r0 + np.floor((starts - t1) / RATE_STEP_SECONDS) * cfg.delta_r)
+    n = np.round(rate * seg_len)
+    # as in _sudden_rows, targets past a segment's frames change nothing
+    count = np.maximum(0, np.minimum(n, hi - lo)).astype(np.intp)
+    seg = np.repeat(np.arange(len(starts)), count)
+    step = np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count)
+    targets = starts[seg] + step * seg_len[seg] / n[seg]
+    # _pick_at_times per segment, as one running maximum: the offset
+    # seg * (len(times) + len(seg) + 1) lifts each segment's first[j] - j
+    # above every earlier segment's, so no segment's picks shift a later
+    # one's.  Each segment keeps its picks before its end.
+    index = np.arange(len(seg))
+    lift = seg * (len(times) + len(seg) + 1)
+    rows = np.maximum.accumulate(np.searchsorted(times, targets) - index + lift) - lift + index
+    return rows[rows < hi[seg]]
 
 
 def sample_incremental(frames: Sequence[FrameRecord], cfg: SamplerConfig):

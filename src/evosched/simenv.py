@@ -193,6 +193,11 @@ def default_centroids() -> GlobalFeatureModel:
     })
 
 
+# the centroids of categories 0 and 1, around which generated detections lie
+_CENTROIDS = np.array([default_centroids().centroids[cat][0] for cat in (0, 1)])
+_CENTROIDS.flags.writeable = False
+
+
 def _stream(seed: int, end_index: int, purpose: int) -> np.random.Generator:
     """Named substream: adding an end or purpose never perturbs the others."""
     return np.random.default_rng(np.random.SeedSequence((seed, end_index, purpose)))
@@ -222,13 +227,12 @@ def gen_trace(
     area = float(cfg.frame_w * cfg.frame_h)
     noise_rng = _stream(seed, end_index, 0)
     mix_rng = _stream(seed, end_index, 1)
-    model = default_centroids()
-    centroids = np.array([model.centroids[cat][0] for cat in (0, 1)])
 
     n = max(0, int(duration * spec.frame_rate))
     t = np.arange(1, n + 1) / spec.frame_rate
     mix = mix_rng.random(n)
-    noise = noise_rng.normal(0.0, [0.01, 0.02 * area], size=(n, 2))
+    # normal(0, scale) draws 0 + scale * z for each standard normal z
+    noise = noise_rng.standard_normal((n, 2)) * [0.01, 0.02 * area]
 
     base = spec.base_accuracy
     p_old = PIXEL_OLD_FRACTION * area
@@ -236,41 +240,43 @@ def gen_trace(
     level = np.full(n, base, dtype=float)
     pixel = np.full(n, p_old)
     shift = np.zeros(n)
-    shifted = np.zeros(n, dtype=bool)
+    shifted = 0  # where the frames that earlier events are active on end
     for ev in spec.drift_events:
         settle = ev.t + ev.transition_s
         recover = settle + ev.recovery_s
-        active = (t >= ev.t) & (t < recover)
-        settled = active & (t >= settle)
-        ramping = active & ~settled  # empty unless transition_s > 0
+        # t increases, so the event is active on frames lo to hi - 1, has
+        # settled from mid on, and ramps on lo to mid - 1 (transition_s > 0)
+        lo, mid, hi = np.searchsorted(t, (ev.t, settle, recover)).tolist()
         dropped = base - ev.magnitude
-        shift[active & ~shifted] = ev.magnitude
-        shifted |= active
+        # Events start in time order, so of the frames from lo on, those
+        # before shifted have an earlier event's shift already.
+        shift[max(lo, shifted):hi] = ev.magnitude
+        shifted = max(shifted, hi)
         if ev.drift_type is DriftType.SUDDEN:
-            level[active] = dropped
-            pixel[active] = p_new
+            level[lo:hi] = dropped
+            pixel[lo:hi] = p_new
         elif ev.drift_type is DriftType.INCREMENTAL:
-            level[settled] = dropped
-            level[ramping] = base - ev.magnitude * ((t[ramping] - ev.t) / ev.transition_s)
+            level[mid:hi] = dropped
+            level[lo:mid] = base - ev.magnitude * ((t[lo:mid] - ev.t) / ev.transition_s)
             # The scene statistics shift faster than the confidence does, so
             # the early transition already looks like the new distribution.
             ramp = ev.transition_s / 2.0
-            frac = np.minimum(1.0, (t[active] - ev.t) / ramp) if ramp > 0 else 1.0
-            pixel[active] = p_old + (p_new - p_old) * frac
+            frac = np.minimum(1.0, (t[lo:hi] - ev.t) / ramp) if ramp > 0 else 1.0
+            pixel[lo:hi] = p_old + (p_new - p_old) * frac
         else:  # gradual: old/new mixture with rising new-regime probability
-            q = (t[ramping] - ev.t) / ev.transition_s
-            level[settled] = dropped
-            level[ramping] = np.where(mix[ramping] < q, dropped, base)
+            q = (t[lo:mid] - ev.t) / ev.transition_s
+            level[mid:hi] = dropped
+            level[lo:mid] = np.where(mix[lo:mid] < q, dropped, base)
             # scene statistics only settle once the mixture does
-            pixel[settled] = p_new
-            pixel[ramping] = p_old
+            pixel[mid:hi] = p_new
+            pixel[lo:mid] = p_old
 
     root = np.sqrt(np.minimum(1.0, np.maximum(1e-3, level + noise[:, 0])))
     pixel = np.maximum(0.0, pixel + noise[:, 1])
 
     def features():
-        det_noise = _stream(seed, end_index, 2).normal(0.0, 0.03, size=(n, 2, FEATURE_DIM))
-        return (centroids + shift[:, None, None]) + det_noise
+        det_noise = _stream(seed, end_index, 2).standard_normal((n, 2, FEATURE_DIM)) * 0.03
+        return (_CENTROIDS + shift[:, None, None]) + det_noise
 
     return FrameTrace(t=t, cc=root, lc=root, pixel_diff=pixel, features=features,
                       categories=(0, 1))
@@ -371,22 +377,27 @@ class _AccuracyModel:
                 if a < p < b:
                     points.add(p)
         grid = sorted(points)
+        # Up to b, a decay that does not overlap (anchor, b) drops nothing.
+        anchor = self._anchor_t
+        decays = [d for d in self._decays if min(b, d[1]) > max(anchor, d[0])]
+        values = [self._unclamped(p, decays) for p in grid]
+        accuracy = {p: max(ACCURACY_FLOOR, v) for p, v in zip(grid, values)}
         # clamp crossings: within each segment the unclamped value is linear
-        extra = []
-        for left, right in zip(grid, grid[1:]):
-            va, vb = self._unclamped(left), self._unclamped(right)
+        for left, right, va, vb in zip(grid, grid[1:], values, values[1:]):
             if (va - ACCURACY_FLOOR) * (vb - ACCURACY_FLOOR) < 0:
                 frac = (va - ACCURACY_FLOOR) / (va - vb)
-                extra.append(left + frac * (right - left))
-        grid = sorted(set(grid) | set(extra))
+                cross = left + frac * (right - left)
+                if cross not in accuracy:
+                    accuracy[cross] = self.at(cross)
+        grid = sorted(accuracy)
         total = 0.0
         for left, right in zip(grid, grid[1:]):
-            total += (self.at(left) + self.at(right)) / 2.0 * (right - left)
+            total += (accuracy[left] + accuracy[right]) / 2.0 * (right - left)
         return total / (b - a)
 
-    def _unclamped(self, t: float) -> float:
+    def _unclamped(self, t: float, decays: Optional[list] = None) -> float:
         drop = 0.0
-        for lo, hi, rate in self._decays:
+        for lo, hi, rate in self._decays if decays is None else decays:
             overlap = min(t, hi) - max(self._anchor_t, lo)
             if overlap > 0:
                 drop += rate * overlap

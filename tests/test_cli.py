@@ -90,6 +90,10 @@ class TestSimulate:
         ("sampler", "frame_w", 2.5), ("detector", "window_frames", 2.5),
         ("sampler", "frame_h", float("inf")),
         pytest.param(None, "duration", 10 ** 400, id="None-duration-1e400"),
+        ("ends.0.gain_curve", "a_max", float("nan")), ("ends.0.gain_curve", "b", float("inf")),
+        ("ends.1.gain_curve", "c", float("nan")),
+        ("ends.0.arch", "batch", 1.9), ("ends.0.arch", "input_w", float("inf")),
+        ("ends.0.arch.layers.0", "c_in", 2.5), ("ends.1.arch.layers.0", "k1", float("nan")),
     ])
     def test_bad_setting_is_input_error(self, scenario_path, tmp_path, capsys,
                                         section, field, value):
@@ -226,6 +230,37 @@ def test_profile_memory_matches_library(tmp_path, capsys):
     breakdown = memory_demand(arch)
     assert doc["total"] == breakdown.total
     assert doc["m_p"] == breakdown.m_p
+
+
+@pytest.mark.parametrize("path, value", [
+    (("batch",), 1.9), (("layers", 0, "c_in"), 2.5), (("layers", 0, "p1"), 0.5),
+    (("input_h",), float("nan")), (("bitwidth",), float("inf")), (("layers", 0, "c_out"), "16"),
+])
+def test_profile_memory_rejects_bad_numbers(tmp_path, capsys, path, value):
+    """A fractional or non-finite architecture number exits 2 naming its
+    field; it is not truncated."""
+    arch = tmp_path / "arch.json"
+    write_arch_json(arch, tiny_arch())
+    doc = json.loads(arch.read_text())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    arch.write_text(json.dumps(doc))
+    assert main(["profile-memory", "--arch", str(arch)]) == EXIT_INPUT
+    assert f"{path[-1]} must" in capsys.readouterr().err
+
+
+def test_profile_memory_takes_integral_floats(tmp_path, capsys):
+    arch = tmp_path / "arch.json"
+    write_arch_json(arch, tiny_arch())
+    assert main(["profile-memory", "--arch", str(arch)]) == EXIT_OK
+    want = capsys.readouterr().out
+    doc = json.loads(arch.read_text())
+    doc["batch"], doc["layers"][0]["c_in"] = 1.0, 3.0
+    arch.write_text(json.dumps(doc))
+    assert main(["profile-memory", "--arch", str(arch)]) == EXIT_OK
+    assert capsys.readouterr().out == want
 
 
 class TestSchedule:

@@ -250,6 +250,35 @@ class TestFrameTrace:
         with pytest.raises(AttributeError):
             lazy.features = eager
 
+    @pytest.mark.parametrize("rows", [slice(2, 9, 3), slice(1, None), [], [0, 2, 3],
+                                      np.arange(1, 4)])
+    def test_taken_trace_is_an_eager_trace(self, rows):
+        """A taken trace counts its frames without copying a column, and
+        gives the columns and records of a trace built from the same rows."""
+        rng = np.random.default_rng(5)
+        cols = dict(t=np.cumsum(rng.uniform(0.1, 1.0, 10)), cc=rng.uniform(0.0, 1.0, 10),
+                    lc=rng.uniform(0.0, 1.0, 10), pixel_diff=rng.uniform(0.0, 9.0, 10))
+        features = rng.normal(size=(10, 2, 3))
+        drawn = []
+        lazy = FrameTrace(features=lambda: drawn.append(1) or features, categories=(4, 5),
+                          **cols).take(rows)
+        eager = FrameTrace(features=features[rows], categories=(4, 5),
+                           **{k: v[rows] for k, v in cols.items()})
+        assert len(lazy) == len(eager) and not lazy.__dict__.keys() & set(cols)
+        for name in ("t", "cc", "lc", "pixel_diff", "clc"):
+            column = getattr(lazy, name)
+            assert column.tobytes() == getattr(eager, name).tobytes()
+            assert not column.flags.writeable and getattr(lazy, name) is column
+        assert not drawn and lazy.categories == eager.categories
+        assert [repr(f) for f in lazy] == [repr(f) for f in eager]
+        assert drawn == [1] and lazy.features.tobytes() == eager.features.tobytes()
+
+    def test_take_out_of_range(self):
+        trace = columnar([1.0, 2.0, 3.0], [0.5] * 3, [0.5] * 3, [1.0] * 3)
+        with pytest.raises(IndexError):
+            trace.take([1, 3])
+        assert len(trace.take(slice(1, 9))) == 2
+
     @pytest.mark.parametrize("rows", [slice(3, 0, -1), [1, 1], [2, 1], [-1, 0]])
     def test_take_needs_increasing_rows(self, rows):
         trace = columnar([1.0, 2.0, 3.0], [0.5] * 3, [0.5] * 3, [1.0] * 3)
@@ -342,17 +371,25 @@ def _realised_variances(frames, cfg):
 def _scan_case(draw):
     """A trace whose CLC level takes turns between high and low, in steps or
     ramps, with or without noise, a start frame, and a detector config with
-    windows from 2 to 90 frames; some traces are shorter than two windows."""
+    windows from 2 to 90 frames; some traces are shorter than two windows,
+    and some hold the level for a quiet lead of up to 20 * (window + temp)
+    frames first, so that events lie beyond the scan's first and second
+    spans."""
     window = draw(st.integers(2, 90))
     parts = draw(st.sampled_from([1, 3, 12]))
     temp = parts * draw(st.integers(1, 90 // parts))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lead = 0
     if rng.random() < 0.2:
         n = int(rng.integers(1, 2 * window))
     else:
         n = int(rng.integers(2 * window + temp, 6 * (window + temp)))
+        if draw(st.booleans()):
+            lead = draw(st.integers(0, 20 * (window + temp)))
+    n += lead
     level, pixel = np.empty(n), np.empty(n)
-    i, prev, high = 0, 0.9, True
+    level[:lead], pixel[:lead] = 0.9, 2500.0
+    i, prev, high = lead, 0.9, True
     while i < n:
         length = int(rng.integers(max(window, temp) // 2 + 1, 3 * max(window, temp)))
         new = rng.uniform(0.6, 0.95) if high else rng.uniform(0.1, 0.5)

@@ -261,6 +261,28 @@ def reference_sample_gradual(frames, cfg, model):
     return [f for f in survivors if feature_deviation(f, model) > cfg.eps2]
 
 
+@pytest.mark.parametrize("as_trace", [True, False])
+def test_incremental_over_many_segments_matches_reference(as_trace):
+    """Hundreds of frames at 1 fps over 14 segments, two of them empty, one
+    with fewer frames than its rate asks for, a partial last one, and the
+    rate capped by r_max from the sixth segment on."""
+    t = np.arange(1.0, 420.0) + 0.25
+    t = t[((t < 91.0) | (t > 160.0)) & ((t < 250.0) | (t > 262.0))]
+    cfg = SamplerConfig(r0=0.2, delta_r=0.15, r_max=0.9)
+    assert [linear_rate(t[0] + 30.0 * k, t[0], cfg) == cfg.r_max for k in (4, 5)] == [False, True]
+    trace = FrameTrace(t=t, cc=np.full(len(t), 0.8), lc=np.full(len(t), 0.8),
+                       pixel_diff=np.zeros(len(t)), features=np.zeros((len(t), 1, 2)),
+                       categories=(0,))
+    records = list(trace)
+    want = reference_sample_incremental(records, cfg)
+    got = sample_incremental(trace if as_trace else records, cfg)
+    assert list(got) == want
+    picked = [f.t for f in want]
+    assert not [p for p in picked if 91.25 <= p < 151.25]  # the empty segments
+    assert len([p for p in picked if 241.25 <= p < 271.25]) == 17  # every frame there
+    assert picked[-1] > 391.25  # the partial last segment
+
+
 @st.composite
 def _window_case(draw):
     """A trace window as the simulator passes it (a slice of a longer trace),

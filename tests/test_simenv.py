@@ -300,6 +300,53 @@ class TestAccuracyModel:
         assert 0.05 <= m.mean_over(100.0, 150.0) <= 0.8
 
 
+def reference_mean_over(model, a, b):
+    """``_AccuracyModel.mean_over`` as it was before it evaluated each
+    breakpoint once, over the decays that overlap (anchor, b) only: every
+    value through ``at`` and ``_unclamped`` over all decays."""
+    if b <= a:
+        return model.at(a)
+    points = {a, b}
+    for lo, hi, _ in model._decays:
+        for p in (lo, hi):
+            if a < p < b:
+                points.add(p)
+    grid = sorted(points)
+    extra = []
+    for left, right in zip(grid, grid[1:]):
+        va, vb = model._unclamped(left), model._unclamped(right)
+        if (va - simenv.ACCURACY_FLOOR) * (vb - simenv.ACCURACY_FLOOR) < 0:
+            frac = (va - simenv.ACCURACY_FLOOR) / (va - vb)
+            extra.append(left + frac * (right - left))
+    grid = sorted(set(grid) | set(extra))
+    total = 0.0
+    for left, right in zip(grid, grid[1:]):
+        total += (model.at(left) + model.at(right)) / 2.0 * (right - left)
+    return total / (b - a)
+
+
+_times = st.floats(0.0, 600.0) | st.sampled_from([0.0, 100.0, 150.0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(decays=st.lists(st.tuples(_times, st.sampled_from([0.0, 50.0]) | st.floats(0.0, 200.0),
+                                 st.sampled_from([0.002, 0.02]) | st.floats(0.0, 0.05)),
+                       max_size=6),
+       anchor=_times, value=st.floats(0.0, 1.0), data=st.data())
+def test_mean_over_matches_reference(decays, anchor, value, data):
+    """Overlapping, zero-length and unordered decays, anchors before, inside
+    and after them, intervals that cross the accuracy floor, and interval
+    ends on breakpoints: the same floats as the reference."""
+    model = _AccuracyModel(sudden_end())
+    model._decays = [(lo, lo + length, rate) for lo, length, rate in decays]
+    model.restore(anchor, value)
+    ends = [anchor] + [p for lo, hi, _ in model._decays for p in (lo, hi)]
+    a = data.draw(_times | st.sampled_from(ends), label="a")
+    b = data.draw(_times | st.sampled_from(ends) | st.floats(a, a + 400.0), label="b")
+    got, want = model.mean_over(a, b), reference_mean_over(model, a, b)
+    assert got == want and repr(got) == repr(want)
+
+
 class TestBaselineStep:
     """One admission step of each policy through ``admit``."""
 
