@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import traceback
@@ -112,11 +111,8 @@ def cmd_schedule(args) -> int:
             rec = {"end_id": rec.get("id"), "arrival_t": 0.0, "urgency": 50.0, **rec}
             if not isinstance(rec["id"], str) or not isinstance(rec["end_id"], str):
                 raise ValueError("id and end_id must be strings")
-            numbers = {k: rec[k] for k in ("arrival_t", "urgency", "mem_demand", "predicted_t_r")}
-            for k, x in numbers.items():
-                if isinstance(x, bool) or not isinstance(x, (int, float)) or not math.isfinite(x):
-                    raise ValueError(f"{k} must be a finite number")
-            tasks.append(EvolutionTask(id=rec["id"], end_id=rec["end_id"], **numbers))
+            tasks.append(EvolutionTask(**{k: rec[k] for k in (
+                "id", "end_id", "arrival_t", "urgency", "mem_demand", "predicted_t_r")}))
         except (KeyError, ValueError) as exc:
             raise ValueError(f"{args.tasks}: bad task record {i} {doc[i]!r}: {exc}") from exc
     doc = fields_doc(select_tasks(tasks, args.capacity))

@@ -13,11 +13,14 @@ from typing import Iterable, Sequence
 
 def check_numbers(obj) -> None:
     """Reject a value of a ``float`` or ``int`` field of dataclass ``obj``
-    that is not a finite number, and a fractional one of an ``int`` field,
-    naming the field; store each ``int`` field as an int.  An ``int`` field
-    takes an int of any size.  (The callers' annotations are strings.)"""
+    that is not a finite number (a bool is not a number), and a fractional
+    one of an ``int`` field, naming the field; store each ``int`` field as
+    an int.  An ``int`` field takes an int of any size.  (The callers'
+    annotations are strings.)"""
     for name, integral in _numeric_fields(type(obj)):
         value = getattr(obj, name)
+        if isinstance(value, bool):
+            raise ValueError(f"{name} must be a number")
         if integral and isinstance(value, int):
             continue
         try:

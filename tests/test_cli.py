@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import evosched
@@ -10,6 +11,7 @@ from evosched import simenv
 from evosched.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, OUT_DIR_ENV, main
 from evosched.drift import DriftType, write_trace_csv
 from evosched.profiler import write_arch_json
+from evosched.scheduler import EvolutionTask, select_tasks
 from evosched.simenv import (
     DriftInjection,
     MobileEndSpec,
@@ -94,6 +96,8 @@ class TestSimulate:
         ("ends.1.gain_curve", "c", float("nan")),
         ("ends.0.arch", "batch", 1.9), ("ends.0.arch", "input_w", float("inf")),
         ("ends.0.arch.layers.0", "c_in", 2.5), ("ends.1.arch.layers.0", "k1", float("nan")),
+        ("server", "gpu_count", True), (None, "duration", False), (None, "seed", True),
+        ("ends.0.arch", "batch", True), ("ends.0.drift_events.0", "t", True),
     ])
     def test_bad_setting_is_input_error(self, scenario_path, tmp_path, capsys,
                                         section, field, value):
@@ -235,6 +239,7 @@ def test_profile_memory_matches_library(tmp_path, capsys):
 @pytest.mark.parametrize("path, value", [
     (("batch",), 1.9), (("layers", 0, "c_in"), 2.5), (("layers", 0, "p1"), 0.5),
     (("input_h",), float("nan")), (("bitwidth",), float("inf")), (("layers", 0, "c_out"), "16"),
+    (("batch",), True), (("layers", 0, "c_in"), True), (("layers", 0, "k1"), False),
 ])
 def test_profile_memory_rejects_bad_numbers(tmp_path, capsys, path, value):
     """A fractional or non-finite architecture number exits 2 naming its
@@ -307,12 +312,31 @@ class TestSchedule:
         rc = main(["schedule", "--tasks", str(path), "--capacity", "10"])
         assert rc == EXIT_INPUT
 
+    def test_large_grid_matches_library(self, tmp_path, capsys):
+        rng = np.random.default_rng(14)
+        records = [{"id": f"t{i:03d}", "mem_demand": float(rng.uniform(4000.0, 16000.0)),
+                    "predicted_t_r": float(rng.choice([5, 8, 10, 16, 20, 25, 40, 50]))}
+                   for i in rng.permutation(100)]
+        path = tmp_path / "tasks.json"
+        path.write_text(json.dumps(records))
+        rc = main(["schedule", "--tasks", str(path), "--capacity", "655360"])
+        assert rc == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        want = select_tasks([EvolutionTask(end_id=r["id"], arrival_t=0.0, urgency=50.0, **r)
+                             for r in records], 655360.0)
+        assert doc["selected"] == list(want.selected)
+        assert doc["total_value"] == want.total_value
+        assert doc["capacity_used"] == want.capacity_used
+
     @pytest.mark.parametrize("tasks, bad", [
         ([1, 2], "record 0 1"),
         ([{"id": "a", "mem_demand": 10, "predicted_t_r": 1},
           {"id": "b", "mem_demand": "big", "predicted_t_r": 1}], "record 1 {'id': 'b'"),
         ([{"id": 7, "mem_demand": 10, "predicted_t_r": 1}], "record 0"),
         ({"id": "a", "mem_demand": 10, "predicted_t_r": 1}, "JSON list"),
+        ([{"id": "a", "mem_demand": True, "predicted_t_r": 1}], "mem_demand must be a number"),
+        ([{"id": "a", "mem_demand": 10, "predicted_t_r": float("nan")}],
+         "predicted_t_r must be finite"),
     ])
     def test_malformed_record_is_input_error(self, tmp_path, capsys, tasks, bad):
         path = tmp_path / "tasks.json"

@@ -13,6 +13,7 @@ from evosched.scheduler import (
     GroupingConfig,
     RunningEntry,
     SelectionResult,
+    _add_task,
     allocate_compute,
     assign_group,
     calibrate_sigma,
@@ -209,6 +210,24 @@ class TestSelectTasks:
             tracemalloc.stop()
         assert peak < 100 * 2 ** 20
 
+    def test_memory_follows_the_staircase(self):
+        # the keep-bit table alone would take 62.5 MiB on this grid
+        rng = np.random.default_rng(12)
+        tasks = [task(f"t{i:03d}", float(rng.uniform(4000.0, 16000.0)),
+                      float(rng.uniform(1.0, 120.0))) for i in range(100)]
+        tracemalloc.start()
+        try:
+            select_tasks(tasks, 655_360.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20  # 1.2 MiB measured
+
+    def test_grid_past_int64_rejected(self):
+        tasks = [task("a", 5, 10), task("b", 1e20, 10)]
+        with pytest.raises(ValueError, match="int64"):
+            select_tasks(tasks, math.inf)
+
     @pytest.mark.parametrize("capacity", [1e12, math.inf])
     def test_capacity_past_total_demand_selects_all(self, capacity):
         tasks = [task("c", 5000.5, 10), task("a", 3000, 20), task("b", 1, 5)]
@@ -262,13 +281,13 @@ def reference_select_tasks(candidates, capacity_mb, value_scale=100.0, decision_
 
 
 @st.composite
-def _knapsack_case(draw):
+def _knapsack_case(draw, min_n=0, max_n=12, max_demand=120):
     """Candidates with shuffled ids, and a capacity below, at or above their
     total rounded-up demand.  Demands are integral or fractional and may
     exceed the capacity; retraining times from a small set give values that
     tie exactly."""
-    n = draw(st.integers(0, 12))
-    demand = st.integers(1, 120) | st.floats(0.01, 120.0)
+    n = draw(st.integers(min_n, max_n))
+    demand = st.integers(1, max_demand) | st.floats(0.01, float(max_demand))
     t_r = st.sampled_from([5, 8, 10, 16, 20, 25, 40, 50]) | st.floats(0.5, 100.0)
     ids = draw(st.permutations([f"t{k}" for k in range(n)]))
     tasks = [task(tid, draw(demand), draw(t_r)) for tid in ids]
@@ -283,15 +302,55 @@ def _knapsack_case(draw):
     return tasks, capacity
 
 
-@settings(max_examples=500, deadline=None)
-@given(case=_knapsack_case())
-def test_select_tasks_matches_reference(case):
-    tasks, capacity = case
+def _assert_same_as_reference(tasks, capacity):
     want = reference_select_tasks(tasks, capacity)
     got = select_tasks(tasks, capacity)
     assert got.selected == want.selected
     assert repr(got.total_value) == repr(want.total_value)
     assert got.capacity_used == want.capacity_used
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_knapsack_case())
+def test_select_tasks_matches_reference(case):
+    _assert_same_as_reference(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_knapsack_case(min_n=13, max_n=60, max_demand=2000))
+def test_large_select_tasks_matches_reference(case):
+    """Larger sets than the test above, so the staircases merge many points."""
+    _assert_same_as_reference(*case)
+
+
+def test_value_rising_with_memory_matches_reference():
+    """The staircase's worst case: each task's value is proportional to its
+    memory, so almost every grid point is a step of the optimum."""
+    rng = np.random.default_rng(13)
+    mem = rng.uniform(50.0, 1500.0, 30)
+    tasks = [task(f"t{i:02d}", float(m), 1000.0 / float(m)) for i, m in enumerate(mem)]
+    _assert_same_as_reference(tasks, 0.5 * sum(math.ceil(m) for m in mem))
+
+
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(st.tuples(st.integers(1, 60), st.sampled_from([1.25, 2.5, 5.0, 10.0])
+                                | st.floats(0.0, 50.0)), min_size=1, max_size=12),
+       cap=st.integers(1, 300))
+def test_staircase_rows_equal_dense_rows(steps, cap):
+    """Each staircase is the dense DP row over 0..cap, value for value to
+    the bit, with one point at 0 and one per rise of the row."""
+    points = np.zeros(1, dtype=np.int64)
+    vals = np.zeros(1, dtype=np.float64)
+    dense = np.zeros(cap + 1, dtype=np.float64)
+    for w, v in steps:
+        if w > cap:
+            continue
+        points, vals = _add_task(points, vals, w, v, cap)
+        dense[w:] = np.maximum(dense[w:], dense[:cap + 1 - w] + v)
+        read = vals[points.searchsorted(np.arange(cap + 1), side="right") - 1]
+        assert read.tobytes() == dense.tobytes()
+        rises = np.flatnonzero(dense[1:] > dense[:-1]) + 1
+        assert points.tolist() == [0] + rises.tolist()
 
 
 class TestAllocateCompute:
@@ -325,3 +384,18 @@ def test_task_validation():
         task("a", 10, 0)
     with pytest.raises(ValueError):
         task("a", 10, 10, urgency=100.0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("predicted_t_r", math.nan, "predicted_t_r must be finite"),
+    ("mem_demand", math.inf, "mem_demand must be finite"),
+    ("mem_demand", math.nan, "mem_demand must be finite"),
+    ("urgency", True, "urgency must be a number"),
+    ("arrival_t", "0", "arrival_t must be a number"),
+])
+def test_task_numbers_checked(field, value, message):
+    kwargs = dict(id="a", end_id="e", arrival_t=0.0, urgency=50.0,
+                  mem_demand=10.0, predicted_t_r=10.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=message):
+        EvolutionTask(**kwargs)
