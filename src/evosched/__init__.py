@@ -46,7 +46,6 @@ from .profiler import (
     feature_memory,
     fit_accuracy_curve,
     memory_demand,
-    predict_accuracy_gain,
     train_time_regressor,
 )
 from .scheduler import (

@@ -39,15 +39,21 @@ def _load_scenario(path, args):
     return scenario
 
 
-def cmd_simulate(args) -> int:
+def _simulate(path, args, csv_path, json_path):
+    """Run the scenario ``_load_scenario`` gives, write its two outputs, return its metrics."""
     from .simenv import run, write_metrics_csv, write_summary_json
-    out = _out_dir(args)
-    scenario = _load_scenario(args.scenario, args)
+    scenario = _load_scenario(path, args)
     metrics = run(scenario)
-    csv_path = os.path.join(out, "metrics.csv")
-    json_path = os.path.join(out, "summary.json")
     write_metrics_csv(csv_path, metrics)
     write_summary_json(json_path, metrics, scenario)
+    return metrics
+
+
+def cmd_simulate(args) -> int:
+    out = _out_dir(args)
+    csv_path = os.path.join(out, "metrics.csv")
+    json_path = os.path.join(out, "summary.json")
+    metrics = _simulate(args.scenario, args, csv_path, json_path)
     if args.verbose:
         print(f"wrote {csv_path} and {json_path} "
               f"({metrics.n_tasks} finished tasks)")
@@ -55,7 +61,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .simenv import run, write_metrics_csv, write_summary_json
     out = _out_dir(args)
     with open(args.sweep) as fh:
         paths = [line.strip() for line in fh if line.strip()]
@@ -67,10 +72,8 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"{other} and {path} would both write {stem}_metrics.csv "
                              f"and {stem}_summary.json")
     for path, stem in zip(paths, stems):
-        scenario = _load_scenario(path, args)
-        metrics = run(scenario)
-        write_metrics_csv(os.path.join(out, f"{stem}_metrics.csv"), metrics)
-        write_summary_json(os.path.join(out, f"{stem}_summary.json"), metrics, scenario)
+        metrics = _simulate(path, args, os.path.join(out, f"{stem}_metrics.csv"),
+                            os.path.join(out, f"{stem}_summary.json"))
         if args.verbose:
             print(f"{stem}: {metrics.n_tasks} tasks")
     return EXIT_OK

@@ -89,12 +89,10 @@ class UrgencyInput:
 
 @dataclass(frozen=True)
 class QoEReport:
-    per_end_qoe: tuple  # (end_id, urgency, qoe) triples
     q_avg: float
     sd_schedule: float
     sd_retrain: float
     q_t: float
-    penalty_weights: tuple
 
 
 def qoe_single(cycle: LifeCycle) -> float:
@@ -129,7 +127,7 @@ def penalized_average_qoe(
 ) -> QoEReport:
     """Urgency-weighted average QoE minus dispersion penalties on waiting times.
 
-    ``ends`` is a sequence of ``(end_id, urgency, qoe)`` triples.  The penalty
+    ``ends`` is a sequence of ``(urgency, qoe)`` pairs.  The penalty
     terms are population standard deviations of the scheduling and retraining
     times, scaled by ``weights`` (see :func:`penalty_weights_for_cycles` for
     the default normalization used by the simulator).
@@ -139,17 +137,15 @@ def penalized_average_qoe(
     if not (len(ends) == len(schedule_times) == len(retrain_times)):
         raise ValueError("ends, schedule_times and retrain_times must have equal length")
     w_s, w_r = weights
-    q_avg = sum(lam * q for _, lam, q in ends) / len(ends)
+    q_avg = sum(lam * q for lam, q in ends) / len(ends)
     sd_s = _population_sd(schedule_times)
     sd_r = _population_sd(retrain_times)
     q_t = q_avg - w_s * sd_s - w_r * sd_r
     return QoEReport(
-        per_end_qoe=tuple((e, lam, q) for e, lam, q in ends),
         q_avg=q_avg,
         sd_schedule=sd_s,
         sd_retrain=sd_r,
         q_t=q_t,
-        penalty_weights=(w_s, w_r),
     )
 
 

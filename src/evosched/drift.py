@@ -33,7 +33,6 @@ class DriftType(str, Enum):
 class Detection:
     category: int
     feature: tuple
-    confidence: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -163,7 +162,7 @@ class FrameTrace(abc.Sequence):
             dets = []
             for c, f in zip(cats, feats):
                 det = new(Detection)
-                det.__dict__.update(category=c, feature=tuple(f), confidence=1.0)
+                det.__dict__.update(category=c, feature=tuple(f))
                 dets.append(det)
             rec = new(FrameRecord)
             rec.__dict__.update(t=t, cc=cc, lc=lc, pixel_diff=px, detections=tuple(dets))
@@ -471,13 +470,14 @@ def read_trace_csv(path) -> list:
             try:
                 t, cc, lc, pd = (float(x) for x in row[:4])
                 n_det = int(row[4])
+                if n_det < 0 or len(row) != 5 + n_det * (1 + dim):
+                    raise ValueError(f"n_det {n_det} does not fit the row's {len(row)} fields "
+                                     f"(5, then {1 + dim} per detection)")
                 dets = []
                 pos = 5
                 for _ in range(n_det):
                     cat = int(row[pos])
                     feat = tuple(float(x) for x in row[pos + 1:pos + 1 + dim])
-                    if len(feat) != dim:
-                        raise ValueError("truncated feature block")
                     dets.append(Detection(category=cat, feature=feat))
                     pos += 1 + dim
                 frames.append(FrameRecord(t=t, cc=cc, lc=lc, pixel_diff=pd,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from typing import List, Sequence, Tuple
@@ -128,9 +127,9 @@ def feature_memory(
     return bytes_, (out_w, out_h)
 
 
-def memory_demand(arch: ModelArch, workspace_bytes: float = DEFAULT_WORKSPACE_BYTES) -> MemoryBreakdown:
+def memory_demand(arch: ModelArch) -> MemoryBreakdown:
     """Total retraining memory: parameters + features + gradients + optimizer
-    state + workspace.  Feature (and hence gradient) bytes scale with batch."""
+    state + a fixed workspace.  Feature (and hence gradient) bytes scale with batch."""
     m_p = 0.0
     m_f = 0.0
     dims = (arch.input_w, arch.input_h)
@@ -141,7 +140,7 @@ def memory_demand(arch: ModelArch, workspace_bytes: float = DEFAULT_WORKSPACE_BY
         except ValueError as exc:
             raise ValueError(f"layer {i} ({layer.kind.value}): {exc}") from exc
         m_f += fbytes
-    return MemoryBreakdown(m_p=m_p, m_f=m_f, m_g=m_f, m_opt=2.0 * m_p, m_ws=workspace_bytes)
+    return MemoryBreakdown(m_p=m_p, m_f=m_f, m_g=m_f, m_opt=2.0 * m_p, m_ws=DEFAULT_WORKSPACE_BYTES)
 
 
 # --- architecture descriptor file (JSON) ------------------------------------
@@ -274,23 +273,24 @@ def fit_accuracy_curve(probes: Sequence[Tuple[float, float]]) -> AccuracyCurve:
     return AccuracyCurve(a_max=a_max, b=max(0.0, b), c=max(0.0, c))
 
 
-def predict_accuracy_gain(curve: AccuracyCurve, target_epoch: float, current_accuracy: float) -> float:
-    """Expected accuracy improvement after retraining to ``target_epoch``."""
-    if target_epoch < 1:
-        raise ValueError("target_epoch must be >= 1")
-    return max(0.0, curve.predict(target_epoch) - current_accuracy)
-
-
 # --- retraining-time regressor ----------------------------------------------
 
 N_FEATURES = 5  # param size, data count, unfrozen layers, epochs, batch size
 _HIDDEN = 16
-_MAGIC = b"EVTR"
-_FORMAT_VERSION = 1
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
+
+
+def _features(rows) -> np.ndarray:
+    """``rows`` as an (n, N_FEATURES) array; ValueError unless each is finite and positive."""
+    x = np.asarray(rows, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != N_FEATURES:
+        raise ValueError(f"expected (n, {N_FEATURES}) feature matrix")
+    if not np.isfinite(x).all() or (x <= 0).any():
+        raise ValueError("features must be finite and positive")
+    return x
 
 
 class TimeRegressor:
@@ -318,53 +318,10 @@ class TimeRegressor:
         return (h @ self.weights[-1] + self.biases[-1]).ravel()
 
     def predict(self, features: Sequence[float]) -> float:
-        x = np.asarray(features, dtype=np.float64)
-        if x.shape != (N_FEATURES,):
-            raise ValueError(f"expected {N_FEATURES} features, got shape {x.shape}")
-        if not np.all(np.isfinite(x)) or np.any(x <= 0):
-            raise ValueError("features must be finite and positive")
-        return float(np.exp(self._forward(x[None, :])[0]))
+        return float(self.predict_many([features])[0])
 
     def predict_many(self, features: np.ndarray) -> np.ndarray:
-        x = np.asarray(features, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != N_FEATURES:
-            raise ValueError(f"expected (n, {N_FEATURES}) feature matrix")
-        if np.any(x <= 0):
-            raise ValueError("features must be positive")
-        return np.exp(self._forward(x))
-
-    # -- versioned little-endian binary serialization --
-
-    def save(self, path) -> None:
-        arrays = self.weights + self.biases + [self.x_mean, self.x_std]
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<HH", _FORMAT_VERSION, len(arrays)))
-            for a in arrays:
-                a = np.ascontiguousarray(a, dtype="<f8")
-                fh.write(struct.pack("<B", a.ndim))
-                fh.write(struct.pack(f"<{a.ndim}I", *a.shape))
-                fh.write(a.tobytes())
-
-    @classmethod
-    def load(cls, path) -> "TimeRegressor":
-        with open(path, "rb") as fh:
-            if fh.read(4) != _MAGIC:
-                raise ValueError(f"{path}: not a regressor weights file")
-            version, n_arrays = struct.unpack("<HH", fh.read(4))
-            if version != _FORMAT_VERSION:
-                raise ValueError(f"{path}: unsupported format version {version}")
-            arrays = []
-            for _ in range(n_arrays):
-                (ndim,) = struct.unpack("<B", fh.read(1))
-                shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-                count = int(np.prod(shape)) if shape else 1
-                data = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape)
-                arrays.append(np.array(data, dtype=np.float64))
-        if n_arrays != 10:
-            raise ValueError(f"{path}: expected 10 arrays, found {n_arrays}")
-        return cls(weights=arrays[:4], biases=arrays[4:8],
-                   x_mean=arrays[8], x_std=arrays[9])
+        return np.exp(self._forward(_features(features)))
 
 
 def train_time_regressor(
@@ -382,15 +339,10 @@ def train_time_regressor(
 
     if len(samples) < 50:
         raise ValueError("need at least 50 training samples")
-    x = np.asarray([s[0] for s in samples], dtype=np.float64)
+    x = _features([s[0] for s in samples])
     y = np.asarray([s[1] for s in samples], dtype=np.float64)
-    if x.shape[1] != N_FEATURES:
-        raise ValueError(f"expected {N_FEATURES} features per sample")
-    if np.any(y <= 0):
-        raise ValueError("retraining times must be positive")
-
-    if np.any(x <= 0):
-        raise ValueError("features must be positive")
+    if not np.isfinite(y).all() or (y <= 0).any():
+        raise ValueError("retraining times must be finite and positive")
     lx = np.log(x)
     x_mean = lx.mean(axis=0)
     x_std = lx.std(axis=0)

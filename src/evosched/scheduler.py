@@ -87,12 +87,6 @@ class GpuPool:
         return self.mem_capacity - used
 
 
-def _tail_count(cfg: GroupingConfig, beta: float) -> float:
-    """Expected number of tasks in one tail band of length ``beta``."""
-    half = (cfg.lambda_max - cfg.lambda_min) / 2.0
-    return (cfg.n_max / 2.0) * (1.0 - math.erf((half - beta) / (math.sqrt(2.0) * cfg.sigma)))
-
-
 def group_number(cfg: GroupingConfig) -> int:
     """Number of urgency groups.
 
@@ -101,14 +95,15 @@ def group_number(cfg: GroupingConfig) -> int:
     is monotone increasing in beta, so that value is ``eps_range`` itself
     whenever any band is feasible.
     """
-    if _tail_count(cfg, cfg.eps_range) < cfg.n_min:
+    beta = cfg.eps_range
+    half = (cfg.lambda_max - cfg.lambda_min) / 2.0
+    # twice the probability mass of one tail band of length beta
+    tail_mass = 1.0 - math.erf((half - beta) / (math.sqrt(2.0) * cfg.sigma))
+    if (cfg.n_max / 2.0) * tail_mass < cfg.n_min:
         raise ValueError(
             "infeasible grouping config: even the widest allowed tail band "
             f"(eps_range={cfg.eps_range}) holds fewer than n_min={cfg.n_min} tasks"
         )
-    beta = cfg.eps_range
-    half = (cfg.lambda_max - cfg.lambda_min) / 2.0
-    tail_mass = 1.0 - math.erf((half - beta) / (math.sqrt(2.0) * cfg.sigma))
     k = 2.0 / tail_mass
     return max(1, math.floor(k + 0.5))
 
@@ -183,11 +178,10 @@ def decide_capacity(
 def select_tasks(
     candidates: Sequence[EvolutionTask],
     capacity_mb: float,
-    value_scale: float = 100.0,
     decision_t: float = 0.0,
 ) -> SelectionResult:
     """0/1 knapsack over memory (1 MB grid, demands rounded up) maximizing
-    the sum of ``value_scale / predicted_t_r`` over admitted tasks.
+    the sum of ``100 / predicted_t_r`` over admitted tasks.
 
     Ties between equal-value solutions resolve to the lexicographically
     smallest selected-id set: a suffix DP over id-sorted candidates gives
@@ -219,7 +213,7 @@ def select_tasks(
                                decision_t=decision_t)
     tasks = sorted(candidates, key=lambda t: t.id)
     weights = [int(math.ceil(t.mem_demand)) for t in tasks]
-    values = [value_scale / t.predicted_t_r for t in tasks]
+    values = [100.0 / t.predicted_t_r for t in tasks]
     cap = math.floor(min(capacity_mb, sum(weights)))
     if cap > np.iinfo(np.int64).max:
         raise ValueError(f"a {cap} MB grid does not fit in int64")

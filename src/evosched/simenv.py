@@ -44,7 +44,6 @@ from .profiler import (
     arch_from_doc,
     fields_doc,
     memory_demand,
-    param_count,
     read_json,
 )
 from .sampler import (
@@ -147,7 +146,7 @@ class Scenario:
     ends: Tuple[MobileEndSpec, ...]
     server: ServerSpec = ServerSpec()
     uplink_mbps: float = 10.0       # MiB per second
-    downlink_mbps: float = 20.0
+    downlink_mbps: float = 20.0     # MiB per second
     policy: Policy = Policy.ADAPTIVE
     duration: float = 600.0
     grouping: GroupingConfig = GroupingConfig(sigma=24.0)
@@ -406,9 +405,6 @@ class _AccuracyModel:
 
 # --- simulation -------------------------------------------------------------
 
-BYTES_PER_MB = MB  # bandwidth figures are MiB/s
-
-
 @dataclass
 class _EndState:
     spec: MobileEndSpec
@@ -457,11 +453,12 @@ class _Sim:
         self.ends = []
         for i, spec in enumerate(scenario.ends):
             trace = gen_trace(spec, scenario.seed, i, scenario.duration, scenario.sampler)
+            memory = memory_demand(spec.arch)
             end = _EndState(
                 spec=spec, index=i, trace=trace,
                 accuracy=_AccuracyModel(spec),
-                mem_demand_mb=memory_demand(spec.arch).total_mb,
-                param_bytes=sum(param_count(l) for l in spec.arch.layers) * spec.arch.bitwidth / 8.0,
+                mem_demand_mb=memory.total_mb,
+                param_bytes=memory.m_p,
             )
             self.ends.append(end)
             self._arm(0.0, end)
@@ -523,7 +520,7 @@ class _Sim:
             selected = sample_gradual(window, self.sc.sampler, self.feature_model)
         n_frames = max(1, len(selected))
 
-        t_upload = n_frames * end.spec.frame_bytes / (self.sc.uplink_mbps * BYTES_PER_MB)
+        t_upload = n_frames * end.spec.frame_bytes / (self.sc.uplink_mbps * MB)
         work = (n_frames * self.sc.epochs * end.spec.work_per_frame
                 * self.sc.data_reduction)
 
@@ -578,7 +575,7 @@ class _Sim:
         ts = self.tasks[task_id]
         ts.t_retrain = t - ts.admit_t
         t_download = (ts.end.param_bytes * self.sc.unfrozen_fraction
-                      / (self.sc.downlink_mbps * BYTES_PER_MB))
+                      / (self.sc.downlink_mbps * MB))
         self._push(t + t_download, self._on_download_done, task_id)
 
     def _on_download_done(self, t: float, task_id: str) -> None:
@@ -647,7 +644,7 @@ class _Sim:
         rows = tuple(self.finished)
         weights = penalty_weights_for_cycles(rows)
         report = penalized_average_qoe(
-            ends=[(m.task_id, m.urgency, m.qoe) for m in rows],
+            ends=[(m.urgency, m.qoe) for m in rows],
             schedule_times=[m.t_schedule for m in rows],
             retrain_times=[m.t_retrain for m in rows],
             weights=weights,

@@ -223,6 +223,15 @@ class TestDriftDetect:
         assert main(["drift-detect", "--trace", str(path)]) == EXIT_INPUT
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["1.0,0.9,0.9,10,-1,0,0.5,7,8",
+                                     "1.0,0.9,0.9,10,0,0,0.5,7"])
+    def test_row_past_its_detections_is_input_error(self, tmp_path, capsys, row):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"t,cc,lc,pixel_diff,n_det,det0_category,det0_f0,det0_f1\n{row}\n")
+        assert main(["drift-detect", "--trace", str(path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(path) in err and "line 2" in err
+
 
 def test_profile_memory_matches_library(tmp_path, capsys):
     from evosched.profiler import memory_demand

@@ -79,20 +79,20 @@ class TestUrgency:
 
 class TestPenalizedAverage:
     def test_single_end_no_dispersion(self):
-        rep = penalized_average_qoe([("e", 50.0, 0.5)], [12.0], [34.0])
+        rep = penalized_average_qoe([(50.0, 0.5)], [12.0], [34.0])
         assert rep.sd_schedule == 0.0
         assert rep.sd_retrain == 0.0
         assert rep.q_t == pytest.approx(50.0 * 0.5)
 
     def test_identical_ends(self):
         rep = penalized_average_qoe(
-            [("a", 50.0, 0.5), ("b", 50.0, 0.5)], [10, 10], [20, 20])
+            [(50.0, 0.5), (50.0, 0.5)], [10, 10], [20, 20])
         assert rep.q_avg == pytest.approx(25.0)
         assert rep.q_t == pytest.approx(25.0)
 
     def test_hand_example(self):
         rep = penalized_average_qoe(
-            [("a", 50.0, 0.4), ("b", 100.0, 0.6)], [0, 10], [20, 40],
+            [(50.0, 0.4), (100.0, 0.6)], [0, 10], [20, 40],
             weights=(1.0, 1.0))
         assert rep.q_avg == pytest.approx(40.0)
         assert rep.sd_schedule == pytest.approx(5.0)
@@ -103,8 +103,8 @@ class TestPenalizedAverage:
         rng = np.random.default_rng(1)
         for _ in range(50):
             n = rng.integers(1, 8)
-            ends = [(f"e{i}", float(rng.uniform(1, 99)), float(rng.uniform(0, 1)))
-                    for i in range(n)]
+            ends = [(float(rng.uniform(1, 99)), float(rng.uniform(0, 1)))
+                    for _ in range(n)]
             ts = rng.uniform(0, 50, n).tolist()
             tr = rng.uniform(0, 200, n).tolist()
             w = (float(rng.uniform(0, 2)), float(rng.uniform(0, 2)))
@@ -113,7 +113,7 @@ class TestPenalizedAverage:
                 rep.q_avg - w[0] * rep.sd_schedule - w[1] * rep.sd_retrain)
 
     def test_permutation_invariance(self):
-        ends = [("a", 30.0, 0.2), ("b", 60.0, 0.5), ("c", 90.0, 0.9)]
+        ends = [(30.0, 0.2), (60.0, 0.5), (90.0, 0.9)]
         ts, tr = [1.0, 5.0, 9.0], [10.0, 20.0, 30.0]
         rep1 = penalized_average_qoe(ends, ts, tr)
         perm = [2, 0, 1]
@@ -128,7 +128,7 @@ class TestPenalizedAverage:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            penalized_average_qoe([("a", 50.0, 0.5)], [1.0, 2.0], [3.0])
+            penalized_average_qoe([(50.0, 0.5)], [1.0, 2.0], [3.0])
 
 
 def test_default_penalty_weights():

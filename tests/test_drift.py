@@ -192,6 +192,21 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match="line 3"):
             read_trace_csv(path)
 
+    @pytest.mark.parametrize("row", [
+        "3.0,0.9,0.9,10,-1,0,0.5,7",      # a negative count of detections
+        "3.0,0.9,0.9,10,0,1,0.5,7",       # fields past the declared detections
+        "3.0,0.9,0.9,10,1,1,0.5,7,0,2",   # part of a second detection
+        "3.0,0.9,0.9,10,2,1,0.5,7",       # a declared detection missing
+    ])
+    def test_row_fields_must_match_n_det(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        dets = (Detection(category=1, feature=(0.5, 1.5)),)
+        write_trace_csv(path, [frame(1.0, 0.8, 10.0, dets), frame(2.0, 0.8)])
+        with open(path, "a") as fh:
+            fh.write(row + "\n")
+        with pytest.raises(ValueError, match=r"bad\.csv: malformed row at line 4: n_det"):
+            read_trace_csv(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")

@@ -141,7 +141,7 @@ class TestDecideCapacity:
 class TestSelectTasks:
     def test_reference_instance(self):
         tasks = [task("a", 4096, 10), task("b", 3072, 20), task("c", 5120, 5)]
-        result = select_tasks(tasks, 8192.0, value_scale=100.0)
+        result = select_tasks(tasks, 8192.0)
         assert set(result.selected) == {"b", "c"}
         assert result.total_value == pytest.approx(25.0)
 
@@ -177,18 +177,6 @@ class TestSelectTasks:
             used = sum(math.ceil(t.mem_demand) for t in tasks
                        if t.id in result.selected)
             assert used <= cap
-
-    def test_value_scale_invariance(self):
-        rng = np.random.default_rng(10)
-        for _ in range(30):
-            n = int(rng.integers(1, 9))
-            tasks = [task(f"t{i}", float(rng.integers(1, 4097)),
-                          float(rng.integers(1, 121)))
-                     for i in range(n)]
-            cap = float(rng.integers(1, 8193))
-            a = select_tasks(tasks, cap, value_scale=100.0)
-            b = select_tasks(tasks, cap, value_scale=7.25)
-            assert a.selected == b.selected
 
     def test_lexicographic_tie_break(self):
         # identical tasks: only one fits; the smallest id must win
