@@ -293,6 +293,14 @@ def _features(rows) -> np.ndarray:
     return x
 
 
+def _targets(samples) -> np.ndarray:
+    """The retraining times of ``samples``; ValueError unless each is finite and positive."""
+    y = np.asarray([s[1] for s in samples], dtype=np.float64)
+    if not np.isfinite(y).all() or (y <= 0).any():
+        raise ValueError("retraining times must be finite and positive")
+    return y
+
+
 class TimeRegressor:
     """Feed-forward retraining-time regressor (5 -> 16 -> 16 -> 16 -> 1).
 
@@ -340,9 +348,7 @@ def train_time_regressor(
     if len(samples) < 50:
         raise ValueError("need at least 50 training samples")
     x = _features([s[0] for s in samples])
-    y = np.asarray([s[1] for s in samples], dtype=np.float64)
-    if not np.isfinite(y).all() or (y <= 0).any():
-        raise ValueError("retraining times must be finite and positive")
+    y = _targets(samples)
     lx = np.log(x)
     x_mean = lx.mean(axis=0)
     x_std = lx.std(axis=0)
@@ -412,7 +418,6 @@ def train_time_regressor(
 
 
 def mean_relative_error(reg: TimeRegressor, samples: Sequence[Tuple[Sequence[float], float]]) -> float:
-    x = np.asarray([s[0] for s in samples], dtype=np.float64)
-    y = np.asarray([s[1] for s in samples], dtype=np.float64)
-    pred = reg.predict_many(x)
+    y = _targets(samples)
+    pred = reg.predict_many([s[0] for s in samples])
     return float(np.mean(np.abs(pred - y) / y))

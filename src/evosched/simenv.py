@@ -12,6 +12,7 @@ import csv
 import heapq
 import json
 import math
+from collections import OrderedDict
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -281,6 +282,57 @@ def gen_trace(
                       categories=(0, 1))
 
 
+# --- per-end start state ----------------------------------------------------
+# Until its first download an end does not depend on the policy: its trace and
+# the first drift a fresh detector finds in it are the same in every run of a
+# scenario.  One cache keeps both, keyed by everything gen_trace and that first
+# scan read, so a pass of all policies over a scenario builds each end's once.
+# Nothing a policy does may change a cached trace.  Whatever a run changes in
+# what an end sees (a download lifting its confidence, say) must be applied
+# where the run reads the trace, never to the trace itself.
+
+# The frames the cache retains at most.  A frame whose detection features have
+# been drawn takes about 104 bytes, so the cache holds at most about 26 MiB: a
+# 30-end, 1,500 s fleet at 1 fps or 30 ends of 5,950 frames fit in it.
+_START_CACHE_FRAMES = 2 ** 18
+
+
+class _StartCache:
+    """Each end's ``(trace, first_drift(trace, 0, detector))``, least recently
+    used first, holding at most ``_START_CACHE_FRAMES`` frames of trace; a
+    trace longer than that is built for its run and not retained."""
+
+    def __init__(self):
+        self.entries = OrderedDict()  # key -> (trace, first drift or None)
+        self.frames = 0
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.frames = 0
+
+    def get(self, spec: MobileEndSpec, seed: int, end_index: int, duration: float,
+            sampler_cfg: SamplerConfig, detector: DetectorConfig):
+        # frozen dataclasses compare and hash by value: the key is the content
+        key = (spec, seed, end_index, duration, sampler_cfg, detector)
+        start = self.entries.get(key)
+        if start is not None:
+            self.entries.move_to_end(key)
+            return start
+        # looked up as a module global, so a wrapper of gen_trace sees each miss
+        trace = gen_trace(spec, seed, end_index, duration, sampler_cfg)
+        start = (trace, first_drift(trace, 0, detector))
+        if len(trace) <= _START_CACHE_FRAMES:
+            self.entries[key] = start
+            self.frames += len(trace)
+            while self.frames > _START_CACHE_FRAMES:
+                _, (old, _) = self.entries.popitem(last=False)
+                self.frames -= len(old)
+        return start
+
+
+_starts = _StartCache()
+
+
 # --- ground-truth retraining cost model -------------------------------------
 
 def ground_truth_retrain_seconds(
@@ -410,6 +462,7 @@ class _EndState:
     spec: MobileEndSpec
     index: int
     trace: FrameTrace
+    first: Optional[Tuple[int, DriftEvent]]  # first_drift(trace, 0, detector)
     accuracy: _AccuracyModel
     cycle_start: float = 0.0
     mem_demand_mb: float = 0.0
@@ -452,10 +505,11 @@ class _Sim:
 
         self.ends = []
         for i, spec in enumerate(scenario.ends):
-            trace = gen_trace(spec, scenario.seed, i, scenario.duration, scenario.sampler)
+            trace, first = _starts.get(spec, scenario.seed, i, scenario.duration,
+                                       scenario.sampler, scenario.detector)
             memory = memory_demand(spec.arch)
             end = _EndState(
-                spec=spec, index=i, trace=trace,
+                spec=spec, index=i, trace=trace, first=first,
                 accuracy=_AccuracyModel(spec),
                 mem_demand_mb=memory.total_mb,
                 param_bytes=memory.m_p,
@@ -485,7 +539,7 @@ class _Sim:
             self._now = t
             handler(t, *args)
         # Events left past the end hold bound methods of this simulation;
-        # dropping them lets its traces go without waiting for the cycle GC.
+        # dropping them lets it go without waiting for the cycle GC.
         self.heap.clear()
         return self._collect()
 
@@ -496,7 +550,8 @@ class _Sim:
         frames from ``t`` on, fires.  An idle end's detector reads its own
         trace only, so it can run ahead of the other events."""
         times = end.trace.t
-        found = first_drift(end.trace, int(np.searchsorted(times, t)), self.sc.detector)
+        start = int(np.searchsorted(times, t))
+        found = end.first if start == 0 else first_drift(end.trace, start, self.sc.detector)
         if found is not None:
             i, event = found
             # In the per-frame loop that tests/test_simenv.py keeps as the

@@ -242,6 +242,14 @@ class TestTimeRegressor:
         with pytest.raises(ValueError, match="finite"):
             mean_relative_error(reg, rows)
 
+    @pytest.mark.parametrize("bad", [float("nan"), 0.0])
+    def test_mre_rejects_nan_and_zero_targets(self, trained, bad):
+        # a NaN target makes the error NaN and a zero one infinite
+        reg, holdout = trained
+        rows = [(f, bad if i == 0 else y) for i, (f, y) in enumerate(holdout)]
+        with pytest.raises(ValueError, match="finite and positive"):
+            mean_relative_error(reg, rows)
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             train_time_regressor(make_samples(10, seed=0))

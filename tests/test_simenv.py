@@ -265,6 +265,7 @@ def test_sudden_only_run_builds_no_records_and_draws_no_features(monkeypatch):
         raise AssertionError("a FrameRecord was built")
 
     monkeypatch.setattr(FrameTrace, "_records", no_records)
+    simenv._starts.clear()  # a cold run: an earlier test may have built these traces
     assert run(bench_scenario(0)).n_tasks > 0
     assert 0 in purposes and 2 not in purposes
 
@@ -463,7 +464,9 @@ class ReferenceSim(_Sim):
 
     def _arm(self, t, end):
         if end.index not in self.frames:
-            self.frames[end.index] = frames = list(end.trace)
+            # a trace of its own, not the one the start-state cache holds
+            self.frames[end.index] = frames = list(gen_trace(
+                end.spec, self.sc.seed, end.index, self.sc.duration, self.sc.sampler))
             if frames:
                 self._push(frames[0].t, self._on_frame, end, 0)
         self.detectors[end.index] = DriftDetector(self.sc.detector)
@@ -544,7 +547,119 @@ def _trigger_tie_scenario():
 @given(sc=_tied_scenario())
 @example(sc=_trigger_tie_scenario())
 def test_run_matches_per_frame_reference(sc):
-    assert run(sc) == ReferenceSim(sc).run()
+    simenv._starts.clear()
+    cold = run(sc)
+    warm = run(sc)  # each end's trace and first trigger from the cache
+    want = ReferenceSim(sc).run()
+    assert cold == want and warm == want
+
+
+# --- per-end start-state cache -------------------------------------------------
+
+def _count_traces(monkeypatch):
+    """Record ``(end_id, seed, end_index)`` for every trace ``simenv`` builds."""
+    built = []
+
+    def counted(spec, seed, end_index, duration, sampler_cfg=None):
+        built.append((spec.end_id, seed, end_index))
+        return gen_trace(spec, seed, end_index, duration, sampler_cfg)
+
+    monkeypatch.setattr(simenv, "gen_trace", counted)
+    return built
+
+
+def _output_bytes(sc, tmp_path):
+    metrics = run(sc)
+    write_metrics_csv(tmp_path / "metrics.csv", metrics)
+    write_summary_json(tmp_path / "summary.json", metrics, sc)
+    return (tmp_path / "metrics.csv").read_bytes() + (tmp_path / "summary.json").read_bytes()
+
+
+def test_policies_build_each_trace_once_and_match_cold_runs(monkeypatch, tmp_path):
+    from test_golden import mixed_drift_scenario
+    sc = mixed_drift_scenario()  # sudden, incremental and gradual ends
+    built = _count_traces(monkeypatch)
+    simenv._starts.clear()
+    warm = {p: _output_bytes(replace(sc, policy=p), tmp_path) for p in Policy}
+    assert sorted(built) == sorted((e.end_id, sc.seed, i) for i, e in enumerate(sc.ends))
+    for p in Policy:
+        simenv._starts.clear()
+        assert _output_bytes(replace(sc, policy=p), tmp_path) == warm[p], p
+
+
+@pytest.mark.parametrize("change, misses", [
+    (lambda sc: replace(sc, seed=sc.seed + 1), 5),
+    (lambda sc: replace(sc, ends=sc.ends[::-1]), 4),  # the middle end keeps its index
+    (lambda sc: replace(sc, ends=sc.ends[1:]), 4),    # every end moves up one index
+    (lambda sc: replace(sc, duration=sc.duration - 50.0), 5),
+    (lambda sc: replace(sc, ends=(replace(sc.ends[0], base_accuracy=0.75),) + sc.ends[1:]), 1),
+    (lambda sc: replace(sc, sampler=replace(sc.sampler, frame_w=640)), 5),
+    (lambda sc: replace(sc, sampler=replace(sc.sampler, frame_h=360)), 5),
+    (lambda sc: replace(sc, detector=replace(sc.detector, rod_threshold=0.5)), 5),
+], ids=["seed", "end-order", "end-index", "duration", "end-spec", "frame-w",
+        "frame-h", "detector"])
+def test_changed_key_input_misses_and_gives_cold_result(change, misses, monkeypatch,
+                                                        tmp_path):
+    from test_golden import mixed_drift_scenario
+    sc = replace(mixed_drift_scenario(), policy=Policy.ADAPTIVE)
+    simenv._starts.clear()
+    run(sc)
+    changed = change(sc)
+    built = _count_traces(monkeypatch)
+    warm = _output_bytes(changed, tmp_path)
+    assert len(built) == misses
+    simenv._starts.clear()
+    assert _output_bytes(changed, tmp_path) == warm
+
+
+def _quiet_ends(n, frames, frame_rate=1.0):
+    return tuple(MobileEndSpec(end_id=f"q{i}", arch=tiny_arch(), frame_rate=frame_rate)
+                 for i in range(n)), frames / frame_rate
+
+
+@pytest.mark.parametrize("n, frames", [(30, 1500), (30, 5950)],
+                         ids=["fleet-pass", "criterion-8-loop"])
+def test_budget_holds_a_pass(n, frames, monkeypatch):
+    ends, duration = _quiet_ends(n, frames)
+    sc = scenario(ends, duration=duration)
+    simenv._starts.clear()
+    run(sc)
+    built = _count_traces(monkeypatch)
+    for policy in Policy:
+        run(replace(sc, policy=policy))
+    assert built == [] and simenv._starts.frames == n * frames
+
+
+def test_cached_frames_stay_within_budget(monkeypatch):
+    monkeypatch.setattr(simenv, "_START_CACHE_FRAMES", 250)
+    ends, duration = _quiet_ends(6, 100)
+    simenv._starts.clear()
+    for seed in range(4):
+        run(scenario(ends, seed=seed, duration=duration))
+        assert simenv._starts.frames <= 250
+        # the two most recently built ends are kept, the least recent first
+        assert [(key[0].end_id, key[1]) for key in simenv._starts.entries] == [
+            ("q4", seed), ("q5", seed)]
+    simenv._starts.clear()
+    run(scenario(ends[:2], duration=duration))
+    run(scenario(ends[2:3], duration=duration))
+    run(scenario(ends[:1], duration=duration))  # a hit makes q0 the most recent
+    run(scenario(ends[3:4], duration=duration))
+    assert [key[0].end_id for key in simenv._starts.entries] == ["q0", "q3"]
+
+
+def test_trace_longer_than_budget_not_retained(monkeypatch):
+    frames = simenv._START_CACHE_FRAMES + 60
+    (long_end,), duration = _quiet_ends(1, frames, frame_rate=300.0)
+    short_end = MobileEndSpec(end_id="short", arch=tiny_arch())
+    sc = scenario([short_end, long_end], duration=duration)
+    simenv._starts.clear()
+    built = _count_traces(monkeypatch)
+    run(sc)
+    run(sc)
+    assert built == [("short", 7, 0), ("q0", 7, 1), ("q0", 7, 1)]
+    assert [key[0].end_id for key in simenv._starts.entries] == ["short"]
+    assert simenv._starts.frames == len(gen_trace(short_end, 7, 0, duration))
 
 
 class TestRun:
