@@ -469,6 +469,9 @@ def read_trace_csv(path) -> list:
         for lineno, row in enumerate(reader, start=2):
             try:
                 t, cc, lc, pd = (float(x) for x in row[:4])
+                if frames and t <= frames[-1].t:
+                    raise ValueError(f"t {t!r} does not exceed the previous row's "
+                                     f"{frames[-1].t!r}")
                 n_det = int(row[4])
                 if n_det < 0 or len(row) != 5 + n_det * (1 + dim):
                     raise ValueError(f"n_det {n_det} does not fit the row's {len(row)} fields "

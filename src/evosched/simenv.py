@@ -160,6 +160,8 @@ class Scenario:
 
     def __post_init__(self):
         check_numbers(self)
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not self.ends:
             raise ValueError("scenario needs at least one end")
         if self.uplink_mbps <= 0 or self.downlink_mbps <= 0:
@@ -478,7 +480,6 @@ class _TaskState:
     admit_t: float = 0.0
     t_retrain: float = 0.0
     remaining_work: float = 0.0   # compute-seconds left while running
-    token: int = 0                # matches the task's live completion event
 
 
 class _Sim:
@@ -606,17 +607,11 @@ class _Sim:
         self.queue.append(self.tasks[task_id].task)
         self._admit(t)
 
-    def _on_retrain_done(self, t: float, task_id: str, token: int) -> None:
-        if task_id not in self.pool.running or self.tasks[task_id].token != token:
+    def _on_retrain_done(self, t: float, task_id: str) -> None:
+        entry = self.pool.running.get(task_id)
+        if entry is None or entry.completion_t > t:
             return  # superseded by a share change, or already finished
         self._advance(t)
-        # Under processor sharing, tasks that tie finish together; a
-        # fixed-share task finishes on its own event.
-        shared = self.sc.policy is Policy.DEFAULT_GPU
-        done = [tid for tid in self.pool.running if tid == task_id
-                or (shared and self.tasks[tid].remaining_work <= 1e-9)]
-        for tid in done:
-            self._complete(t, tid)
         self._apply(t, admit(self.sc.policy, (), self.pool, t))
         if self.sc.policy in (Policy.ADAPTIVE, Policy.DP_NO_GROUPING) and self.pool.running:
             _, decision_t = decide_capacity(self.pool, self.sc.lookahead_factor, now=t)
@@ -624,14 +619,6 @@ class _Sim:
                 self._push(decision_t, self._admit)
                 return
         self._admit(t)
-
-    def _complete(self, t: float, task_id: str) -> None:
-        self.pool.running.pop(task_id, None)
-        ts = self.tasks[task_id]
-        ts.t_retrain = t - ts.admit_t
-        t_download = (ts.end.param_bytes * self.sc.unfrozen_fraction
-                      / (self.sc.downlink_mbps * MB))
-        self._push(t + t_download, self._on_download_done, task_id)
 
     def _on_download_done(self, t: float, task_id: str) -> None:
         ts = self.tasks[task_id]
@@ -666,16 +653,25 @@ class _Sim:
         self._apply(t, admit(self.sc.policy, self.queue, self.pool, t))
 
     def _advance(self, t: float) -> None:
-        """Charge every running task for the work done since the last advance."""
+        """Charge every running task for the work done since the last advance,
+        then finish, in running order, each task whose completion time has come."""
         dt = t - self._work_t
         for tid, entry in self.pool.running.items():
             ts = self.tasks[tid]
             ts.remaining_work = max(0.0, ts.remaining_work - entry.share * dt)
         self._work_t = t
+        for tid in [tid for tid, e in self.pool.running.items() if e.completion_t <= t]:
+            del self.pool.running[tid]
+            ts = self.tasks[tid]
+            ts.t_retrain = t - ts.admit_t
+            t_download = (ts.end.param_bytes * self.sc.unfrozen_fraction
+                          / (self.sc.downlink_mbps * MB))
+            self._push(t + t_download, self._on_download_done, tid)
 
     def _apply(self, t: float, shares: Dict[str, float]) -> None:
         """Start each newly admitted task in ``shares`` and give every task in
-        it a completion event for its new share; older events go stale."""
+        it a completion event at its new completion time; an older event
+        finds its task finished or not yet due, and does nothing."""
         for tid, share in shares.items():
             ts = self.tasks[tid]
             if tid not in self.pool.running:
@@ -687,8 +683,7 @@ class _Sim:
                 mem=ts.task.mem_demand, share=share, completion_t=t + duration,
                 t_r=duration,
             )
-            ts.token += 1
-            self._push(t + duration, self._on_retrain_done, tid, ts.token)
+            self._push(t + duration, self._on_retrain_done, tid)
 
     # -- reporting --
 

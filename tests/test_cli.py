@@ -86,6 +86,7 @@ class TestSimulate:
         ("server", "compute_capacity", float("nan")), ("server", "gpu_count", 1.5),
         (None, "duration", float("inf")), (None, "lookahead_factor", float("nan")),
         (None, "lookahead_factor", -1.0), (None, "epochs", 2.5), (None, "seed", 3.7),
+        (None, "seed", -1),
         ("ends.0", "frame_rate", float("inf")), ("ends.0", "decay", float("nan")),
         ("ends.0.drift_events.0", "t", float("nan")),
         ("grouping", "sigma", float("nan")), ("grouping", "lambda_max", float("nan")),
@@ -112,6 +113,12 @@ class TestSimulate:
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_INPUT
         assert f"{field} must" in capsys.readouterr().err
+
+    def test_negative_seed_option_is_input_error(self, scenario_path, tmp_path, capsys):
+        rc = main(["simulate", "--scenario", str(scenario_path), "--seed", "-3",
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_INPUT
+        assert "seed must be non-negative" in capsys.readouterr().err
 
     def test_seed_of_any_size_runs(self, scenario_path, tmp_path):
         doc = json.loads(scenario_path.read_text())
@@ -231,6 +238,15 @@ class TestDriftDetect:
         assert main(["drift-detect", "--trace", str(path)]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert str(path) in err and "line 2" in err
+
+    @pytest.mark.parametrize("second", ["1.0,0.8,0.8,0,0", "0.5,0.8,0.8,0,0"],
+                             ids=["repeated-t", "earlier-t"])
+    def test_row_out_of_time_order_is_input_error(self, tmp_path, capsys, second):
+        path = tmp_path / "trace.csv"
+        path.write_text(f"t,cc,lc,pixel_diff,n_det\n1.0,0.8,0.8,0,0\n{second}\n")
+        assert main(["drift-detect", "--trace", str(path)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert str(path) in err and "line 3" in err
 
 
 def test_profile_memory_matches_library(tmp_path, capsys):

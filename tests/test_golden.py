@@ -10,7 +10,12 @@ fleet-like digests while the simulator still fed every frame to a streaming
 ``DriftDetector``.  The contended-2 and whole-second digests pin the order
 of triggers that tie: a loop that runs triggers in the order their ends
 became idle moves the contended-2 default-gpu and serial-fifo digests and
-all five whole-second ones.  A change to the simulator
+all five whole-second ones.  The adaptive and dp-no-grouping digests of
+contended, contended-2 and whole-second were re-recorded when tied
+completions began to finish together: a task is done when its completion
+time has come, so tasks that finish at one instant all leave the pool before
+the admission that follows, which sees the memory and the compute of each.
+A change to the simulator
 that moves any output byte, even by one ulp, fails here; if the change is
 meant to move outputs, record the new digests and say why in CHANGES.md.
 
@@ -160,18 +165,18 @@ DIGESTS = {
         "dp-no-grouping": "5eb56a2fbd83798dff4f650b9b3177e125778e21f8688b4ef3319becab4ec726",
     },
     "contended": {
-        "adaptive": "291db9d9c5f6b22ae2417998e66ded53755e89c870e03af9a97b26dbf125bfb8",
+        "adaptive": "7241ff14e39baf7f3dc4317f928ff6fea5aa3af7dec65b6842c85a24c709817e",
         "default-gpu": "d8321945ad96b0a6e7799c489d8bbeda397507f943fe696add6b1fa283b3f3d9",
         "serial-fifo": "7dafcc4f4017b8b43048212a9d4348b3e22a525c8ad82f50bf2b31f08f5887b8",
         "serial-priority": "2b7ccd36873b1d9eff6231e33416edc91e566a3e9eecb2a67d68608d4fc41ff1",
-        "dp-no-grouping": "10b157aa4af2a22e6b7ea131bb19dd8c4d8edacfc833dcd523fee6c50651d427",
+        "dp-no-grouping": "8e6aa0b481480812cfa13bed35a87eda62ab017a4cb710e5f523eceb91e71297",
     },
     "contended-2": {
-        "adaptive": "0fd138e0d6e073931d888ce43a10c4aa635303b309fc0c10914e9e73b48524de",
+        "adaptive": "540b8284f59dbbca8ab389ced818c86d1e5734a0ebdd9595c7c23b271328fc49",
         "default-gpu": "e40d593ed8d6011fd39ed36ad8224aeda70b1f21be5d936ac9640cd2d9b290e9",
         "serial-fifo": "3563af4a9fa72b5c43184bb5984b7d842f9ab5f36339706489c257cd84a87416",
         "serial-priority": "c1143b7e7fb14211f152b9d003d1e06532759769125bf033332ab916cf15a938",
-        "dp-no-grouping": "1fd4ba60acc005b02fa0d9ed7d6c0ab8055dbeb176d435d45423ab976e926386",
+        "dp-no-grouping": "ba2c130acffe52ab4884d289935b0dace9d9490fbcf4dfea40f71c8afe180273",
     },
     "mixed-drift": {
         "adaptive": "860ad745aafd25440c93bcaaf0ec131a0523e23a62b3e2f190271eb6d233a605",
@@ -181,11 +186,11 @@ DIGESTS = {
         "dp-no-grouping": "989f09d041d3cc89d41d1444c4209d5e7b8a035e7880b29657c0e75e28fcd85b",
     },
     "whole-second-0": {
-        "adaptive": "b3ec60f52161322a3cae83204fb20277b9c64151fbf0559deca83ceb3d8cf0e7",
+        "adaptive": "11ff59c281452a2118ec22605091645ff9aa16e163b3bea7cb7e9fe68fbc6a6f",
         "default-gpu": "e8658bbdd24149c5e8a39db0e362fce4aceb2025e9bae7ef4dee9c68f5969781",
         "serial-fifo": "6dca3702f27d1b6b716b5506d46425549fca834615642ef84029e348747f1779",
         "serial-priority": "8e25dd49fbe76e1e5844ee8116361d4be87ef66208da0df638043dca664399ca",
-        "dp-no-grouping": "5a756939c1d2885515fa000d4ba1908621432bca0d6c543790b1c33151a1e3a5",
+        "dp-no-grouping": "f9bcf83efce7188e24751d50602697d75dd9d16d87bd881a45d36e369ab91017",
     },
     "fleet-like": {
         "adaptive": "4020f91245adc4af4476f265c9b38abf683eb95b1734c3eecf9f9b0dcd4b5fea",
