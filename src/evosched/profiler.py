@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
-from typing import List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -160,6 +160,21 @@ def fields_doc(value):
     return value.value if isinstance(value, Enum) else value
 
 
+def doc_fields(doc: dict, cls, **convert: Callable) -> dict:
+    """Keyword arguments for the fields of ``cls`` whose keys ``doc`` has,
+    each through ``convert``'s function for the field where it names one; a
+    field ``doc`` lacks is left out, so the dataclass default applies, or
+    raises KeyError naming its key if it has no default."""
+    kwargs = {}
+    for f in fields(cls):
+        key = JSON_KEYS.get(f.name, f.name)
+        if key in doc:
+            kwargs[f.name] = convert[f.name](doc[key]) if f.name in convert else doc[key]
+        elif f.default is MISSING:
+            raise KeyError(key)
+    return kwargs
+
+
 def arch_to_doc(arch: ModelArch) -> dict:
     """JSON document of an architecture, as arch files and scenarios hold it:
     its fields with ``layers`` last, each layer's fields with ``kind`` first."""
@@ -173,13 +188,8 @@ def arch_from_doc(doc: dict) -> ModelArch:
     defaults, unknown keys ignored; an integral float is stored as an int.
     Raises KeyError, TypeError or ValueError on a malformed document, a
     ValueError naming the field for a fractional or non-finite number."""
-    def numbers(rec: dict, cls) -> dict:
-        return {f.name: rec[f.name] for f in fields(cls)
-                if f.name in rec and f.name not in ("kind", "layers")}
-
-    layers = tuple(LayerSpec(kind=LayerKind(rec["kind"]), **numbers(rec, LayerSpec))
-                   for rec in doc["layers"])
-    return ModelArch(layers=layers, **numbers(doc, ModelArch))
+    return ModelArch(**doc_fields(doc, ModelArch, layers=lambda layers: tuple(
+        LayerSpec(**doc_fields(rec, LayerSpec, kind=LayerKind)) for rec in layers)))
 
 
 def write_arch_json(path, arch: ModelArch) -> None:

@@ -28,7 +28,6 @@ class EvolutionTask:
     urgency: float
     mem_demand: float        # MB
     predicted_t_r: float     # seconds
-    work: float = 0.0        # ground-truth compute-seconds (simulator only)
     group: Optional[int] = None
 
     def __post_init__(self):

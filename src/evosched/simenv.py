@@ -13,9 +13,9 @@ import heapq
 import json
 import math
 from collections import OrderedDict
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,11 +38,11 @@ from .drift import (
     write_trace_csv,
 )
 from .profiler import (
-    JSON_KEYS,
     MB,
     AccuracyCurve,
     ModelArch,
     arch_from_doc,
+    doc_fields,
     fields_doc,
     memory_demand,
     read_json,
@@ -477,9 +477,9 @@ class _TaskState:
     end: _EndState
     trigger_t: float
     t_upload: float
+    remaining_work: float         # compute-seconds of retraining left
     admit_t: float = 0.0
     t_retrain: float = 0.0
-    remaining_work: float = 0.0   # compute-seconds left while running
 
 
 class _Sim:
@@ -593,12 +593,11 @@ class _Sim:
             urgency=lam,
             mem_demand=end.mem_demand_mb,
             predicted_t_r=work / self.pool.compute_capacity,
-            work=work,
         )
         if self.boundaries:
             task.group = assign_group(lam, self.boundaries)
         self.tasks[task.id] = _TaskState(task=task, end=end, trigger_t=t,
-                                         t_upload=t_upload)
+                                         t_upload=t_upload, remaining_work=work)
         self._push(t + t_upload, self._on_upload_done, task.id)
 
     # -- edge side --
@@ -612,10 +611,9 @@ class _Sim:
         if entry is None or entry.completion_t > t:
             return  # superseded by a share change, or already finished
         self._advance(t)
-        self._apply(t, admit(self.sc.policy, (), self.pool, t))
-        if self.sc.policy in (Policy.ADAPTIVE, Policy.DP_NO_GROUPING) and self.pool.running:
+        if self.sc.policy in (Policy.ADAPTIVE, Policy.DP_NO_GROUPING):
             _, decision_t = decide_capacity(self.pool, self.sc.lookahead_factor, now=t)
-            if decision_t > t + 1e-12:
+            if decision_t > t:
                 self._push(decision_t, self._admit)
                 return
         self._admit(t)
@@ -647,8 +645,8 @@ class _Sim:
     # -- admission and the completion engine --
 
     def _admit(self, t: float) -> None:
-        if not self.queue:
-            return
+        """The one admission of an event: bring the pool up to ``t``, then
+        apply the shares ``admit`` gives, with or without tasks queued."""
         self._advance(t)
         self._apply(t, admit(self.sc.policy, self.queue, self.pool, t))
 
@@ -677,7 +675,6 @@ class _Sim:
             if tid not in self.pool.running:
                 self.queue.remove(ts.task)
                 ts.admit_t = t
-                ts.remaining_work = ts.task.work
             duration = ts.remaining_work / share
             self.pool.running[tid] = RunningEntry(
                 mem=ts.task.mem_demand, share=share, completion_t=t + duration,
@@ -777,26 +774,11 @@ def scenario_to_json(scenario: Scenario) -> dict:
     return {**fields_doc(scenario), "schema_version": SCHEMA_VERSION}
 
 
-def _given(doc: dict, cls, **convert: Callable) -> dict:
-    """Keyword arguments for the fields of ``cls`` whose keys ``doc`` has,
-    each through ``convert``'s function for the field where it names one; a
-    field ``doc`` lacks is left out, so the dataclass default applies, or
-    raises KeyError naming its key if it has no default."""
-    kwargs = {}
-    for f in fields(cls):
-        key = JSON_KEYS.get(f.name, f.name)
-        if key in doc:
-            kwargs[f.name] = convert[f.name](doc[key]) if f.name in convert else doc[key]
-        elif f.default is MISSING:
-            raise KeyError(key)
-    return kwargs
-
-
 def _end_from_doc(e: dict) -> MobileEndSpec:
-    return MobileEndSpec(**_given(
+    return MobileEndSpec(**doc_fields(
         e, MobileEndSpec, arch=arch_from_doc, gain_curve_truth=lambda d: AccuracyCurve(**d),
         drift_events=lambda events: tuple(
-            DriftInjection(**_given(ev, DriftInjection, drift_type=DriftType))
+            DriftInjection(**doc_fields(ev, DriftInjection, drift_type=DriftType))
             for ev in events)))
 
 
@@ -808,7 +790,7 @@ def scenario_from_json(doc: dict) -> Scenario:
         raise ValueError(f"unsupported schema_version {version!r} "
                          f"(expected {SCHEMA_VERSION})")
     try:
-        return Scenario(**_given(
+        return Scenario(**doc_fields(
             doc, Scenario, ends=lambda ends: tuple(map(_end_from_doc, ends)),
             server=lambda d: ServerSpec(**d), grouping=lambda d: GroupingConfig(**d),
             sampler=lambda d: SamplerConfig(**d), detector=lambda d: DetectorConfig(**d),

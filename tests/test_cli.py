@@ -281,6 +281,16 @@ def test_profile_memory_rejects_bad_numbers(tmp_path, capsys, path, value):
     assert f"{path[-1]} must" in capsys.readouterr().err
 
 
+def test_profile_memory_names_a_missing_layer_field(tmp_path, capsys):
+    arch = tmp_path / "arch.json"
+    write_arch_json(arch, tiny_arch())
+    doc = json.loads(arch.read_text())
+    del doc["layers"][0]["c_in"]
+    arch.write_text(json.dumps(doc))
+    assert main(["profile-memory", "--arch", str(arch)]) == EXIT_INPUT
+    assert "c_in" in capsys.readouterr().err
+
+
 def test_profile_memory_takes_integral_floats(tmp_path, capsys):
     arch = tmp_path / "arch.json"
     write_arch_json(arch, tiny_arch())

@@ -30,6 +30,7 @@ from evosched.simenv import (
     ServerSpec,
     _AccuracyModel,
     _Sim,
+    _TaskState,
     _stream,
     admit,
     default_centroids,
@@ -447,6 +448,31 @@ def test_admit_respects_free_memory_and_compute(state):
         compute += sum(shares[task.id] for task in admitted)
         assert compute <= pool.compute_capacity * (1 + 1e-12)
         assert all(share > 0 for share in shares.values())
+
+
+def test_default_gpu_completion_gives_its_compute_to_the_running_task():
+    """Two tasks start together with half the compute each; "a" needs 8
+    compute-seconds and "b" 40.  When "a" finishes at 2 s, the admission of
+    that completion, with nothing queued, gives "b" all 8 units at once: "b"
+    has 32 left and finishes at 6 s instead of 10 s."""
+    sim = _Sim(scenario([MobileEndSpec(end_id="e", arch=tiny_arch())],
+                        policy=Policy.DEFAULT_GPU))
+    for tid, work in (("a", 8.0), ("b", 40.0)):
+        task = EvolutionTask(id=tid, end_id="e", arrival_t=0.0, urgency=50.0,
+                             mem_demand=100.0, predicted_t_r=work / 8.0)
+        sim.tasks[tid] = _TaskState(task=task, end=sim.ends[0], trigger_t=0.0,
+                                    t_upload=0.0, remaining_work=work)
+        sim.queue.append(task)
+
+    def running():
+        return {tid: (e.share, e.completion_t) for tid, e in sim.pool.running.items()}
+
+    sim._admit(0.0)
+    assert running() == {"a": (4.0, 2.0), "b": (4.0, 10.0)}
+    sim._now = 2.0
+    sim._on_retrain_done(2.0, "a")
+    assert running() == {"b": (8.0, 6.0)}
+    assert {m.task_id: m.t_retrain for m in sim.run().tasks} == {"a": 2.0, "b": 6.0}
 
 
 # --- reference event loop ----------------------------------------------------
