@@ -52,9 +52,6 @@ class FrameRecord:
             raise ValueError("pixel_diff must be finite and non-negative")
 
 
-_COLUMNS = ("t", "cc", "lc", "pixel_diff", "clc")
-
-
 def _span(column: np.ndarray) -> Tuple[float, float]:
     """The least and the greatest value of a column; 0 and 0 when it is empty."""
     return (column.min(), column.max()) if len(column) else (0.0, 0.0)
@@ -93,7 +90,6 @@ class FrameTrace(abc.Sequence):
         self.clc = cc * lc  # what clc() gives for each frame
         self.categories = tuple(categories)
         self._features = features
-        self._n = len(t)
         for column in (t, cc, lc, pixel_diff, self.clc):
             column.flags.writeable = False
         if not callable(features):
@@ -108,38 +104,28 @@ class FrameTrace(abc.Sequence):
 
     def take(self, rows) -> "FrameTrace":
         """The frames at ``rows``, a slice with a positive step or strictly
-        increasing indices, as a trace that needs no checks of its own.
-        Each column, features too, is copied from this trace on its first
-        read, so a trace taken only to be counted copies nothing."""
+        increasing indices, as a trace that needs no checks of its own.  The
+        features are copied from this trace on their first read."""
         if isinstance(rows, slice):
             if rows.step is not None and rows.step <= 0:
                 raise ValueError("a slice of frames needs a positive step")
-            n = len(range(*rows.indices(len(self))))
         else:
             rows = np.asarray(rows, dtype=np.intp)
-            n = len(rows)
-            if n and (rows[0] < 0 or not (np.diff(rows) > 0).all()):
+            if len(rows) and (rows[0] < 0 or not (np.diff(rows) > 0).all()):
                 raise ValueError("frame indices must be non-negative and increasing")
-            if n and rows[-1] >= len(self):
+            if len(rows) and rows[-1] >= len(self):
                 raise IndexError("frame index out of range")
         sub = object.__new__(FrameTrace)
-        sub._source, sub._rows, sub._n = self, rows, n
+        for name in ("t", "cc", "lc", "pixel_diff", "clc"):
+            column = getattr(self, name)[rows]
+            column.flags.writeable = False
+            setattr(sub, name, column)
         sub.categories = self.categories
         sub._features = lambda: self.features[rows]
         return sub
 
-    def __getattr__(self, name):
-        # Reached only for an attribute not set: a column of a taken trace
-        # that has not been read yet.
-        if name not in _COLUMNS:
-            raise AttributeError(name)
-        column = getattr(self._source, name)[self._rows]
-        column.flags.writeable = False
-        setattr(self, name, column)
-        return column
-
     def __len__(self) -> int:
-        return self._n
+        return len(self.t)
 
     def __getitem__(self, index):
         if isinstance(index, slice):

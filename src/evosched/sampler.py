@@ -56,24 +56,6 @@ class GlobalFeatureModel:
             raise KeyError(f"unknown detection category {category!r}") from None
 
 
-def _select(frames, rows: np.ndarray):
-    """The frames at ``rows``: a :class:`FrameTrace` of them for a trace, and
-    the same record objects for a record sequence."""
-    if isinstance(frames, FrameTrace):
-        return frames.take(rows)
-    return [frames[i] for i in rows.tolist()]
-
-
-def _times(frames) -> np.ndarray:
-    """The time column of a trace or of a time-ordered record sequence."""
-    if isinstance(frames, FrameTrace):
-        return frames.t
-    times = np.fromiter((f.t for f in frames), dtype=float, count=len(frames))
-    if np.any(np.diff(times) < 0):
-        raise ValueError("frames must be in time order")
-    return times
-
-
 def _pick_at_times(times: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """For each increasing target time, the row of the first not-yet-taken
     frame at or after it, stopping at the first target no frame is left for.
@@ -100,11 +82,9 @@ def _sudden_rows(times: np.ndarray, r_f: float) -> np.ndarray:
     return _pick_at_times(times, t0 + np.arange(count) / r_f)
 
 
-def sample_sudden(frames: Sequence[FrameRecord], r_f: float):
-    """Uniform selection at rate ``r_f`` fps, anchored at the first frame.
-    ``frames`` is time-ordered: a :class:`FrameTrace` or a record sequence,
-    and the picks come back in the same form."""
-    return _select(frames, _sudden_rows(_times(frames), r_f))
+def sample_sudden(trace: FrameTrace, r_f: float) -> FrameTrace:
+    """Uniform selection at rate ``r_f`` fps, anchored at the first frame."""
+    return trace.take(_sudden_rows(trace.t, r_f))
 
 
 def linear_rate(t: float, t1: float, cfg: SamplerConfig) -> float:
@@ -150,11 +130,9 @@ def _incremental_rows(times: np.ndarray, cfg: SamplerConfig) -> np.ndarray:
     return rows[rows < hi[seg]]
 
 
-def sample_incremental(frames: Sequence[FrameRecord], cfg: SamplerConfig):
-    """Piecewise-uniform selection whose rate follows the linear schedule.
-    ``frames`` is time-ordered: a :class:`FrameTrace` or a record sequence,
-    and the picks come back in the same form."""
-    return _select(frames, _incremental_rows(_times(frames), cfg))
+def sample_incremental(trace: FrameTrace, cfg: SamplerConfig) -> FrameTrace:
+    """Piecewise-uniform selection whose rate follows the linear schedule."""
+    return trace.take(_incremental_rows(trace.t, cfg))
 
 
 def _euclidean(a: Sequence[float], b: Sequence[float]) -> float:

@@ -430,10 +430,7 @@ class _AccuracyModel:
                 if a < p < b:
                     points.add(p)
         grid = sorted(points)
-        # Up to b, a decay that does not overlap (anchor, b) drops nothing.
-        anchor = self._anchor_t
-        decays = [d for d in self._decays if min(b, d[1]) > max(anchor, d[0])]
-        values = [self._unclamped(p, decays) for p in grid]
+        values = [self._unclamped(p) for p in grid]
         accuracy = {p: max(ACCURACY_FLOOR, v) for p, v in zip(grid, values)}
         # clamp crossings: within each segment the unclamped value is linear
         for left, right, va, vb in zip(grid, grid[1:], values, values[1:]):
@@ -448,9 +445,9 @@ class _AccuracyModel:
             total += (accuracy[left] + accuracy[right]) / 2.0 * (right - left)
         return total / (b - a)
 
-    def _unclamped(self, t: float, decays: Optional[list] = None) -> float:
+    def _unclamped(self, t: float) -> float:
         drop = 0.0
-        for lo, hi, rate in self._decays if decays is None else decays:
+        for lo, hi, rate in self._decays:
             overlap = min(t, hi) - max(self._anchor_t, lo)
             if overlap > 0:
                 drop += rate * overlap

@@ -185,15 +185,16 @@ def test_invalid_json_names_its_file(tmp_path, capsys, command, flag):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    """Only curve fitting and regressor training need scipy, and it is slow
-    to import, so loading the CLI must not pull it in."""
+    """Only curve fitting and regressor training need scipy, and each
+    command imports the modules it runs, so loading the CLI must pull in
+    neither scipy nor numpy."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(evosched.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = "import sys, evosched.cli; print('scipy' in sys.modules)"
+    code = "import sys, evosched.cli; print([m for m in ('scipy', 'numpy') if m in sys.modules])"
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
 
 
 class TestDriftDetect:
