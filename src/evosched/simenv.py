@@ -15,7 +15,7 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -195,8 +195,10 @@ def default_centroids() -> GlobalFeatureModel:
     })
 
 
+# the server's global view, against which the gradual sampler measures deviation
+_FEATURE_MODEL = default_centroids()
 # the centroids of categories 0 and 1, around which generated detections lie
-_CENTROIDS = np.array([default_centroids().centroids[cat][0] for cat in (0, 1)])
+_CENTROIDS = np.array([_FEATURE_MODEL.centroids[cat][0] for cat in (0, 1)])
 _CENTROIDS.flags.writeable = False
 
 
@@ -263,7 +265,9 @@ def gen_trace(
             # The scene statistics shift faster than the confidence does, so
             # the early transition already looks like the new distribution.
             ramp = ev.transition_s / 2.0
-            frac = np.minimum(1.0, (t[lo:hi] - ev.t) / ramp) if ramp > 0 else 1.0
+            # a subnormal ramp overflows to inf, and min(1, inf) is the 1 wanted
+            with np.errstate(over="ignore"):
+                frac = np.minimum(1.0, (t[lo:hi] - ev.t) / ramp) if ramp > 0 else 1.0
             pixel[lo:hi] = p_old + (p_new - p_old) * frac
         else:  # gradual: old/new mixture with rising new-regime probability
             q = (t[lo:mid] - ev.t) / ev.transition_s
@@ -284,14 +288,34 @@ def gen_trace(
                       categories=(0, 1))
 
 
+def _sampled_frames(trace: FrameTrace, event: DriftEvent, sampler_cfg: SamplerConfig) -> int:
+    """Frames an end uploads for ``event``: its drift type's sampler run over
+    the trigger window ``[t1, t3]`` of ``trace``, and at least one."""
+    # the trace is time-ordered, so the window is one slice
+    times = trace.t
+    lo = int(np.searchsorted(times, event.t1, side="left"))
+    hi = int(np.searchsorted(times, event.t3, side="right"))
+    window = trace.take(slice(lo, hi))
+    # the samplers are looked up as module globals, so a wrapper sees each call
+    if event.drift_type is DriftType.SUDDEN:
+        selected = sample_sudden(window, sampler_cfg.r_f)
+    elif event.drift_type is DriftType.INCREMENTAL:
+        selected = sample_incremental(window, sampler_cfg)
+    else:
+        selected = sample_gradual(window, sampler_cfg, _FEATURE_MODEL)
+    return max(1, len(selected))
+
+
 # --- per-end start state ----------------------------------------------------
-# Until its first download an end does not depend on the policy: its trace and
-# the first drift a fresh detector finds in it are the same in every run of a
-# scenario.  One cache keeps both, keyed by everything gen_trace and that first
-# scan read, so a pass of all policies over a scenario builds each end's once.
-# Nothing a policy does may change a cached trace.  Whatever a run changes in
-# what an end sees (a download lifting its confidence, say) must be applied
-# where the run reads the trace, never to the trace itself.
+# Until its first download an end does not depend on the policy: its trace,
+# the first drift a fresh detector finds in it and the frames it samples for
+# that drift are the same in every run of a scenario.  One cache keeps all
+# three, keyed by everything gen_trace, that first scan and the sampler read,
+# so a pass of all policies over a scenario builds each end's once.  Nothing a
+# policy does may change a cached start.  Whatever a run changes in what an end
+# sees (a download lifting its confidence, say) applies only after that
+# download and must be applied where the run reads the trace, never to the
+# trace itself nor to the first trigger's sample count.
 
 # The frames the cache retains at most.  A frame whose detection features have
 # been drawn takes about 104 bytes, so the cache holds at most about 26 MiB: a
@@ -299,13 +323,23 @@ def gen_trace(
 _START_CACHE_FRAMES = 2 ** 18
 
 
+class _Start(NamedTuple):
+    """An end's policy-free start: its trace, its first trigger and the
+    frames sampled for that trigger, which no policy changes before the end's
+    first download."""
+
+    trace: FrameTrace
+    first: Optional[Tuple[int, DriftEvent]]  # first_drift(trace, 0, detector)
+    first_frames: int  # _sampled_frames of first's drift, 0 when first is None
+
+
 class _StartCache:
-    """Each end's ``(trace, first_drift(trace, 0, detector))``, least recently
-    used first, holding at most ``_START_CACHE_FRAMES`` frames of trace; a
-    trace longer than that is built for its run and not retained."""
+    """Each end's :class:`_Start`, least recently used first, holding at most
+    ``_START_CACHE_FRAMES`` frames of trace; a trace longer than that is
+    built and sampled for its run and not retained."""
 
     def __init__(self):
-        self.entries = OrderedDict()  # key -> (trace, first drift or None)
+        self.entries = OrderedDict()  # key -> _Start
         self.frames = 0
 
     def clear(self) -> None:
@@ -313,7 +347,7 @@ class _StartCache:
         self.frames = 0
 
     def get(self, spec: MobileEndSpec, seed: int, end_index: int, duration: float,
-            sampler_cfg: SamplerConfig, detector: DetectorConfig):
+            sampler_cfg: SamplerConfig, detector: DetectorConfig) -> _Start:
         # frozen dataclasses compare and hash by value: the key is the content
         key = (spec, seed, end_index, duration, sampler_cfg, detector)
         start = self.entries.get(key)
@@ -322,13 +356,15 @@ class _StartCache:
             return start
         # looked up as a module global, so a wrapper of gen_trace sees each miss
         trace = gen_trace(spec, seed, end_index, duration, sampler_cfg)
-        start = (trace, first_drift(trace, 0, detector))
+        first = first_drift(trace, 0, detector)
+        start = _Start(trace, first,
+                       0 if first is None else _sampled_frames(trace, first[1], sampler_cfg))
         if len(trace) <= _START_CACHE_FRAMES:
             self.entries[key] = start
             self.frames += len(trace)
             while self.frames > _START_CACHE_FRAMES:
-                _, (old, _) = self.entries.popitem(last=False)
-                self.frames -= len(old)
+                _, old = self.entries.popitem(last=False)
+                self.frames -= len(old.trace)
         return start
 
 
@@ -460,8 +496,9 @@ class _AccuracyModel:
 class _EndState:
     spec: MobileEndSpec
     index: int
-    trace: FrameTrace
-    first: Optional[Tuple[int, DriftEvent]]  # first_drift(trace, 0, detector)
+    # trace, first trigger and the frames sampled for it: policy-free until
+    # the end's first download, so a run reads them and never changes them
+    start: _Start
     accuracy: _AccuracyModel
     cycle_start: float = 0.0
     mem_demand_mb: float = 0.0
@@ -493,7 +530,6 @@ class _Sim:
         self._seq = 0
         self._now = 0.0  # time of the event being handled
         self._task_counter = 0
-        self.feature_model = default_centroids()
         self.boundaries: List[float] = []
         if scenario.policy in (Policy.ADAPTIVE,):
             k = group_number(scenario.grouping)
@@ -503,11 +539,11 @@ class _Sim:
 
         self.ends = []
         for i, spec in enumerate(scenario.ends):
-            trace, first = _starts.get(spec, scenario.seed, i, scenario.duration,
-                                       scenario.sampler, scenario.detector)
+            start = _starts.get(spec, scenario.seed, i, scenario.duration,
+                                scenario.sampler, scenario.detector)
             memory = memory_demand(spec.arch)
             end = _EndState(
-                spec=spec, index=i, trace=trace, first=first,
+                spec=spec, index=i, start=start,
                 accuracy=_AccuracyModel(spec),
                 mem_demand_mb=memory.total_mb,
                 param_bytes=memory.m_p,
@@ -547,9 +583,13 @@ class _Sim:
         """Push a trigger at the frame where a fresh detector, fed the end's
         frames from ``t`` on, fires.  An idle end's detector reads its own
         trace only, so it can run ahead of the other events."""
-        times = end.trace.t
+        trace = end.start.trace
+        times = trace.t
         start = int(np.searchsorted(times, t))
-        found = end.first if start == 0 else first_drift(end.trace, start, self.sc.detector)
+        if start == 0:
+            found, n_frames = end.start.first, end.start.first_frames
+        else:  # after a download: sampled when it fires
+            found, n_frames = first_drift(trace, start, self.sc.detector), None
         if found is not None:
             i, event = found
             # In the per-frame loop that tests/test_simenv.py keeps as the
@@ -557,21 +597,14 @@ class _Sim:
             # fires; see _push.  A detector fires on its second frame at the
             # earliest.
             key = (float(times[i - 1]), 0, end.index)
-            self._push(float(times[i]), self._on_trigger, end, event, key=key)
+            self._push(float(times[i]), self._on_trigger, end, event, n_frames, key=key)
 
-    def _on_trigger(self, t: float, end: _EndState, event: DriftEvent) -> None:
-        # the trace is time-ordered, so the window [t1, t3] is one slice
-        times = end.trace.t
-        lo = int(np.searchsorted(times, event.t1, side="left"))
-        hi = int(np.searchsorted(times, event.t3, side="right"))
-        window = end.trace.take(slice(lo, hi))
-        if event.drift_type is DriftType.SUDDEN:
-            selected = sample_sudden(window, self.sc.sampler.r_f)
-        elif event.drift_type is DriftType.INCREMENTAL:
-            selected = sample_incremental(window, self.sc.sampler)
-        else:
-            selected = sample_gradual(window, self.sc.sampler, self.feature_model)
-        n_frames = max(1, len(selected))
+    def _on_trigger(self, t: float, end: _EndState, event: DriftEvent,
+                    n_frames: Optional[int] = None) -> None:
+        """Upload the frames sampled for ``event``: ``n_frames`` when the
+        start state holds them, else sampled from the end's trace now."""
+        if n_frames is None:
+            n_frames = _sampled_frames(end.start.trace, event, self.sc.sampler)
 
         t_upload = n_frames * end.spec.frame_bytes / (self.sc.uplink_mbps * MB)
         work = (n_frames * self.sc.epochs * end.spec.work_per_frame

@@ -1,6 +1,8 @@
 import functools
 import math
 import tempfile
+import warnings
+from collections import Counter
 from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from evosched import simenv
 from evosched.drift import (
-    Detection, DetectorConfig, DriftDetector, DriftType, FrameRecord, FrameTrace,
+    Detection, DetectorConfig, DriftDetector, DriftType, FrameRecord, FrameTrace, first_drift,
 )
 from evosched.profiler import (
     MB, AccuracyCurve, LayerKind, LayerSpec, ModelArch, arch_from_doc, arch_to_doc,
@@ -232,6 +234,18 @@ def test_gen_trace_matches_reference_loop(case):
     want = reference_gen_trace(spec, seed, end_index, duration, cfg)
     assert list(got) == want
     assert [repr(f) for f in got] == [repr(f) for f in want]
+
+
+def test_gen_trace_subnormal_ramp_matches_reference_without_warnings():
+    # the incremental pixel ramp lasts transition_s / 2, which a subnormal
+    # transition_s turns into a division that overflows to inf
+    spec = MobileEndSpec(end_id="e", arch=tiny_arch(), drift_events=(DriftInjection(
+        t=10.0, drift_type=DriftType.INCREMENTAL, magnitude=0.5, transition_s=1e-310),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = list(gen_trace(spec, seed=3, end_index=0, duration=60.0))
+    want = reference_gen_trace(spec, 3, 0, 60.0)
+    assert got == want and [repr(f) for f in got] == [repr(f) for f in want]
 
 
 def _count_streams(monkeypatch):
@@ -594,6 +608,34 @@ def _count_traces(monkeypatch):
     return built
 
 
+def _count_samples(monkeypatch):
+    """Record ``(drift type, frame times, confidences)`` of every window
+    ``simenv`` samples; the confidences tell apart ends with equal times."""
+    windows = []
+    for kind in DriftType:
+        sample = getattr(simenv, f"sample_{kind.value}")
+
+        def counted(window, *args, kind=kind, sample=sample):
+            windows.append((kind, window.t.tobytes(), window.cc.tobytes()))
+            return sample(window, *args)
+
+        monkeypatch.setattr(simenv, f"sample_{kind.value}", counted)
+    return windows
+
+
+def _first_windows(sc):
+    """Each end's first-trigger window, as ``_count_samples`` records it."""
+    windows = []
+    for i, spec in enumerate(sc.ends):
+        trace = gen_trace(spec, sc.seed, i, sc.duration, sc.sampler)
+        found = first_drift(trace, 0, sc.detector)
+        if found is not None:
+            event = found[1]
+            rows = (trace.t >= event.t1) & (trace.t <= event.t3)
+            windows.append((event.drift_type, trace.t[rows].tobytes(), trace.cc[rows].tobytes()))
+    return windows
+
+
 def _output_bytes(sc, tmp_path):
     metrics = run(sc)
     write_metrics_csv(tmp_path / "metrics.csv", metrics)
@@ -611,6 +653,46 @@ def test_policies_build_each_trace_once_and_match_cold_runs(monkeypatch, tmp_pat
     for p in Policy:
         simenv._starts.clear()
         assert _output_bytes(replace(sc, policy=p), tmp_path) == warm[p], p
+
+
+@pytest.mark.parametrize("make, later_triggers", [
+    ("mixed_drift_scenario", False),
+    ("whole_second_scenario", True),  # ends trigger again after a download
+])
+def test_policies_sample_each_first_trigger_once(make, later_triggers, monkeypatch):
+    import test_golden
+    sc = getattr(test_golden, make)()
+    first = _first_windows(sc)
+    assert len(first) == len(sc.ends)
+    sampled = _count_samples(monkeypatch)
+    simenv._starts.clear()
+    later = {}
+    for p in Policy:
+        start = len(sampled)
+        run(replace(sc, policy=p))
+        later[p] = [w for w in sampled[start:] if w not in first]
+    assert Counter(w for w in sampled if w in first) == Counter(first)
+    assert [bool(later[p]) for p in Policy] == [later_triggers] * len(Policy)
+    for p in Policy:  # a cold run samples the same windows, the first ones too
+        simenv._starts.clear()
+        start = len(sampled)
+        run(replace(sc, policy=p))
+        assert Counter(sampled[start:]) == Counter(first + later[p]), p
+
+
+def test_start_over_budget_samples_first_trigger_every_run(monkeypatch, tmp_path):
+    from test_golden import mixed_drift_scenario
+    sc = mixed_drift_scenario()
+    simenv._starts.clear()
+    cached = {p: _output_bytes(replace(sc, policy=p), tmp_path) for p in Policy}
+    first = _first_windows(sc)
+    sampled = _count_samples(monkeypatch)
+    monkeypatch.setattr(simenv, "_START_CACHE_FRAMES", 500)  # every end has 600 frames or more
+    simenv._starts.clear()
+    for p in Policy:
+        assert _output_bytes(replace(sc, policy=p), tmp_path) == cached[p], p
+    assert not simenv._starts.entries
+    assert Counter(w for w in sampled if w in first) == Counter(first * len(Policy))
 
 
 @pytest.mark.parametrize("change, misses", [
