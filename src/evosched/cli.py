@@ -7,6 +7,7 @@ exception, a defect in the program).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -148,41 +149,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--seed", type=int)
     p.add_argument("--policy")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sweep", parents=[common], help="run every scenario listed in a file")
     p.add_argument("--sweep", required=True, help="file with one scenario path per line")
     p.add_argument("--out")
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("drift-detect", parents=[common], help="emit drift events for a trace CSV")
     p.add_argument("--trace", required=True)
-    p.set_defaults(func=cmd_drift_detect)
 
     p = sub.add_parser("profile-memory", parents=[common], help="memory breakdown for an architecture")
     p.add_argument("--arch", required=True)
-    p.set_defaults(func=cmd_profile_memory)
 
     p = sub.add_parser("schedule", parents=[common], help="knapsack selection over a task list")
     p.add_argument("--tasks", required=True, help="JSON list of task records")
     p.add_argument("--capacity", type=float, required=True, help="memory capacity, MB")
-    p.set_defaults(func=cmd_schedule)
 
     p = sub.add_parser("gen-traces", parents=[common], help="write per-end trace CSVs for a scenario")
     p.add_argument("--scenario", required=True)
     p.add_argument("--out")
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_gen_traces)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first call only: every ``parse_args``
+    returns a namespace of its own, so the calls share no state."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up on each call, so the command's current function runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -18,7 +18,6 @@ from enum import Enum
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .core import check_numbers
 
@@ -65,10 +64,11 @@ class FrameTrace(abc.Sequence):
     whose category is ``categories[k]``.  ``features`` may be given as a
     function of no arguments that returns that array: it is called on the
     first read of ``features``, so a trace whose features are never read
-    never computes them.  The checks :class:`FrameRecord` makes, and strictly
-    increasing times, are made once for the whole trace.  Indexing, slicing
-    and iteration give :class:`FrameRecord` objects; compare ``list(trace)``
-    for equality by value.
+    never computes them; ``clc_sum`` too is computed on its first read.  The
+    checks :class:`FrameRecord` makes, and strictly increasing times, are
+    made once for the whole trace.  Indexing, slicing and iteration give
+    :class:`FrameRecord` objects; compare ``list(trace)`` for equality by
+    value.
     """
 
     def __init__(self, t, cc, lc, pixel_diff, features, categories: Tuple[int, ...]):
@@ -90,6 +90,7 @@ class FrameTrace(abc.Sequence):
         self.clc = cc * lc  # what clc() gives for each frame
         self.categories = tuple(categories)
         self._features = features
+        self._clc_sum = None
         for column in (t, cc, lc, pixel_diff, self.clc):
             column.flags.writeable = False
         if not callable(features):
@@ -101,6 +102,18 @@ class FrameTrace(abc.Sequence):
             self._features = self._features()
             self._features.flags.writeable = False
         return self._features
+
+    @property
+    def clc_sum(self) -> np.ndarray:
+        """The cumulative CLC: ``clc_sum[i]`` is ``clc[0] + ... + clc[i - 1]``,
+        added left to right, so ``len(self) + 1`` values from 0."""
+        if self._clc_sum is None:
+            total = np.empty(len(self.clc) + 1)
+            total[0] = 0.0
+            np.cumsum(self.clc, out=total[1:])
+            total.flags.writeable = False
+            self._clc_sum = total
+        return self._clc_sum
 
     def take(self, rows) -> "FrameTrace":
         """The frames at ``rows``, a slice with a positive step or strictly
@@ -122,6 +135,7 @@ class FrameTrace(abc.Sequence):
             setattr(sub, name, column)
         sub.categories = self.categories
         sub._features = lambda: self.features[rows]
+        sub._clc_sum = None
         return sub
 
     def __len__(self) -> int:
@@ -316,39 +330,67 @@ class DriftDetector:
         return event
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 def first_drift(trace: FrameTrace, start: int,
                 config: DetectorConfig) -> Optional[Tuple[int, DriftEvent]]:
     """The first event a fresh :class:`DriftDetector` emits when fed
     ``trace[start]``, ``trace[start + 1]``, ..., with the index of the frame
     that emits it; ``None`` if it emits none.
 
-    The detector's arithmetic is repeated float for float over the trace's
-    columns.  The scan reads a prefix of the rest of the trace and doubles it
-    until an event shows: an event depends on the frames up to its own only,
-    so the work stays proportional to the frames the detector would read.
+    A pre-test reads the trailing window's sums off ``trace.clc_sum`` and
+    finds the first frame where the rod test can hold: where the window's
+    mean is at most (1 - ``rod_threshold``) times the exact reference mean,
+    give or take a margin for rounding.  With no such frame the detector
+    never drifts, and the answer is ``None`` without a scan.  Otherwise an
+    exact scan repeats the detector's arithmetic float for float over the
+    frames up to that one and ``4 * (window + temp)`` more; an event depends
+    on the frames up to its own only, so only while the temp window has not
+    settled within that span is the span doubled and scanned again.  The
+    exact scan alone decides.
     """
     if start < 0:
         raise ValueError("start must be a frame index")
-    span = 4 * (config.window_frames + config.temp_window_frames)
-    while True:
-        stop = min(len(trace), start + span)
-        found = _scan(trace, start, stop, config)
-        if found is not None or stop == len(trace):
-            return found
-        span *= 2
-
-
-def _scan(trace: FrameTrace, start: int, stop: int,
-          cfg: DetectorConfig) -> Optional[Tuple[int, DriftEvent]]:
-    """:func:`first_drift` over frames ``start`` to ``stop - 1`` only."""
-    w = cfg.window_frames
-    v = trace.clc
+    w, n = config.window_frames, len(trace)
     ref = start + w  # the reference window is frames start .. ref - 1
-    if stop - ref < w:
+    if n - ref < w:
         return None
-    ref_mean = sum(v[start:ref].tolist()) / w
+    ref_mean = sum(trace.clc[start:ref].tolist()) / w
     if ref_mean <= 0:
         return None
+    # The trailing sum at frame k taken from the cumulative sum and the scan's
+    # running sum each add at most 2 * (n + w) CLC values in [0, 1], and each
+    # addition rounds by at most eps / 2 times a partial sum of at most
+    # n + w: both are within eps * (n + w) ** 2 of the true sum.  The rod
+    # test's subtraction and division, and this bound, round by less than
+    # 4 * eps * w * (1 + rod_threshold) more.  The margin covers both, the
+    # first twice over, so every frame that passes the exact test passes
+    # this one.
+    thr = config.rod_threshold
+    margin = 4 * _EPS * ((n + w) ** 2 + w * (1 + thr))
+    cum = trace.clc_sum
+    # frames k - w + 1 .. k for k = ref + w - 1, ..., n - 1
+    can_drop = cum[ref + w:] - cum[ref:n + 1 - w] <= w * (1 - thr) * ref_mean + margin
+    first = int(can_drop.argmax())
+    if not can_drop[first]:
+        return None
+    stop = ref + w + first + 4 * (w + config.temp_window_frames)
+    while True:
+        stop = min(n, stop)
+        found = _scan(trace, start, stop, ref_mean, config)
+        if found is not None or stop == n:
+            return found
+        stop = start + 2 * (stop - start)
+
+
+def _scan(trace: FrameTrace, start: int, stop: int, ref_mean: float,
+          cfg: DetectorConfig) -> Optional[Tuple[int, DriftEvent]]:
+    """:func:`first_drift` over frames ``start`` to ``stop - 1`` only, for a
+    positive reference mean ``ref_mean`` and ``stop >= start + 2 * window``."""
+    w = cfg.window_frames
+    v = trace.clc
+    ref = start + w
     # The trailing window's running sum, ``-= oldest`` then ``+= newest`` per
     # frame, is one strictly left-to-right accumulation.
     old, new = v[ref:stop - w], v[ref + w:stop]
@@ -357,7 +399,7 @@ def _scan(trace: FrameTrace, start: int, stop: int,
     steps[w::2] = -old
     steps[w + 1::2] = new
     mean2 = np.add.accumulate(steps)[w - 1::2] / w  # at frames ref + w - 1 ...
-    dropped = np.flatnonzero((ref_mean - mean2) / ref_mean >= cfg.rod_threshold)
+    dropped = ((ref_mean - mean2) / ref_mean >= cfg.rod_threshold).nonzero()[0]
     if not len(dropped):
         return None
     t1_at = ref + w - 1 + int(dropped[0])
@@ -373,21 +415,19 @@ def _scan(trace: FrameTrace, start: int, stop: int,
         return None
     prefix = np.add.accumulate(np.concatenate(([0.0], v[t1_at:stop])))
     means = (prefix[sub:] - prefix[:-sub]) / sub
-    # Row i of ``windows`` holds sub-window i's mean at every n: a view.
-    tail = means[first_n - temp:]
-    windows = as_strided(tail, shape=(parts, last_n - first_n + 1),
-                         strides=(sub * tail.strides[0], tail.strides[0]), writeable=False)
-    deviation = windows - np.add.reduce(windows, axis=0) / parts
-    deviation *= deviation
-    variance = np.add.reduce(deviation, axis=0) / parts
+    # Sub-window i's mean at every n from first_n to last_n.
+    count = last_n - first_n + 1
+    rows = [means[a:a + count] for a in range(first_n - temp, first_n, sub)]
+    grand = sum(rows) / parts
+    variance = sum((row - grand) ** 2 for row in rows) / parts
     # These sums run in another order than the detector's, which may call a
-    # compensated sum, and square by multiplying where it calls pow: they can
-    # differ from its values by a few ulps, or by about (parts * eps) ** 2
-    # near a variance of 0, as CLC means are at most 1.  Frames below the
-    # margin are candidates, and the detector's own expression on Python
-    # floats decides.
-    margin = cfg.variance_threshold * (1 + 1e-9) + (2 * parts * np.finfo(float).eps) ** 2
-    for row in np.flatnonzero(variance < margin).tolist():
+    # compensated sum, and numpy squares by multiplying where the detector
+    # calls pow: they can differ from its values by a few ulps, or by about
+    # (parts * eps) ** 2 near a variance of 0, as CLC means are at most 1.
+    # Frames below the margin are candidates, and the detector's own
+    # expression on Python floats decides.
+    margin = cfg.variance_threshold * (1 + 1e-9) + (2 * parts * _EPS) ** 2
+    for row in (variance < margin).nonzero()[0].tolist():
         n = first_n + row
         window = means[n - temp:n:sub].tolist()
         grand_n = sum(window) / len(window)

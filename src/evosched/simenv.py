@@ -307,36 +307,45 @@ def _sampled_frames(trace: FrameTrace, event: DriftEvent, sampler_cfg: SamplerCo
 
 
 # --- per-end start state ----------------------------------------------------
-# Until its first download an end does not depend on the policy: its trace,
-# the first drift a fresh detector finds in it and the frames it samples for
-# that drift are the same in every run of a scenario.  One cache keeps all
-# three, keyed by everything gen_trace, that first scan and the sampler read,
-# so a pass of all policies over a scenario builds each end's once.  Nothing a
-# policy does may change a cached start.  Whatever a run changes in what an end
-# sees (a download lifting its confidence, say) applies only after that
-# download and must be applied where the run reads the trace, never to the
-# trace itself nor to the first trigger's sample count.
+# What an end sees does not depend on the policy: its trace, the first drift a
+# fresh detector armed at a given frame finds in it and the frames the end
+# samples for a drift's window are the same in every run of a scenario.  A
+# policy decides only at which frames downloads re-arm the detector.  One
+# cache keeps each end's trace, keyed by everything gen_trace, the scans and
+# the sampler read, with every scan and sample count a run has made on it:
+# the first trigger's (armed at frame 0) and each re-arm's after a download.
+# A pass of all policies over a scenario so builds each end's trace once,
+# scans from each start frame once and samples each window once.  Nothing a
+# policy does may change a cached start.  Whatever a run changes in what an
+# end sees (a download lifting its confidence, say) must be applied where
+# the run reads the trace, never to the trace itself, and must be part of
+# the key of each scan and sample count it changes.
 
 # The frames the cache retains at most.  A frame whose detection features have
-# been drawn takes about 104 bytes, so the cache holds at most about 26 MiB: a
-# 30-end, 1,500 s fleet at 1 fps or 30 ends of 5,950 frames fit in it.
+# been drawn takes about 112 bytes with its cumulative CLC, so the cache holds
+# at most about 28 MiB: a 30-end, 1,500 s fleet at 1 fps or 30 ends of 5,950
+# frames fit in it.
 _START_CACHE_FRAMES = 2 ** 18
 
 
 class _Start(NamedTuple):
-    """An end's policy-free start: its trace, its first trigger and the
-    frames sampled for that trigger, which no policy changes before the end's
-    first download."""
+    """An end's policy-free start: its trace, what a fresh detector armed at
+    a given frame of it finds, and the frames the end samples for a drift's
+    window.  Runs fill ``drifts`` and ``samples`` as they arm detectors and
+    sample; a run may add entries but never changes one."""
 
     trace: FrameTrace
-    first: Optional[Tuple[int, DriftEvent]]  # first_drift(trace, 0, detector)
-    first_frames: int  # _sampled_frames of first's drift, 0 when first is None
+    # start frame -> first_drift(trace, start frame, detector)
+    drifts: Dict[int, Optional[Tuple[int, DriftEvent]]]
+    # (drift type, t1, t3), all that _sampled_frames reads of an event -> its result
+    samples: Dict[Tuple[DriftType, float, float], int]
 
 
 class _StartCache:
     """Each end's :class:`_Start`, least recently used first, holding at most
     ``_START_CACHE_FRAMES`` frames of trace; a trace longer than that is
-    built and sampled for its run and not retained."""
+    built for its run and not retained, so its ``drifts`` and ``samples``
+    last that run."""
 
     def __init__(self):
         self.entries = OrderedDict()  # key -> _Start
@@ -355,13 +364,10 @@ class _StartCache:
             self.entries.move_to_end(key)
             return start
         # looked up as a module global, so a wrapper of gen_trace sees each miss
-        trace = gen_trace(spec, seed, end_index, duration, sampler_cfg)
-        first = first_drift(trace, 0, detector)
-        start = _Start(trace, first,
-                       0 if first is None else _sampled_frames(trace, first[1], sampler_cfg))
-        if len(trace) <= _START_CACHE_FRAMES:
+        start = _Start(gen_trace(spec, seed, end_index, duration, sampler_cfg), {}, {})
+        if len(start.trace) <= _START_CACHE_FRAMES:
             self.entries[key] = start
-            self.frames += len(trace)
+            self.frames += len(start.trace)
             while self.frames > _START_CACHE_FRAMES:
                 _, old = self.entries.popitem(last=False)
                 self.frames -= len(old.trace)
@@ -496,8 +502,8 @@ class _AccuracyModel:
 class _EndState:
     spec: MobileEndSpec
     index: int
-    # trace, first trigger and the frames sampled for it: policy-free until
-    # the end's first download, so a run reads them and never changes them
+    # trace and the detectors armed on it: policy-free, so a run reads them
+    # and only adds what any run arming at the same frame would add
     start: _Start
     accuracy: _AccuracyModel
     cycle_start: float = 0.0
@@ -586,23 +592,27 @@ class _Sim:
         trace = end.start.trace
         times = trace.t
         start = int(np.searchsorted(times, t))
-        if start == 0:
-            found, n_frames = end.start.first, end.start.first_frames
-        else:  # after a download: sampled when it fires
-            found, n_frames = first_drift(trace, start, self.sc.detector), None
+        drifts, samples = end.start.drifts, end.start.samples
+        if start not in drifts:
+            drifts[start] = first_drift(trace, start, self.sc.detector)
+        found = drifts[start]
         if found is not None:
             i, event = found
+            window = (event.drift_type, event.t1, event.t3)
+            if window not in samples:
+                samples[window] = _sampled_frames(trace, event, self.sc.sampler)
             # In the per-frame loop that tests/test_simenv.py keeps as the
             # reference, the end's previous frame pushed the frame that
             # fires; see _push.  A detector fires on its second frame at the
             # earliest.
             key = (float(times[i - 1]), 0, end.index)
-            self._push(float(times[i]), self._on_trigger, end, event, n_frames, key=key)
+            self._push(float(times[i]), self._on_trigger, end, event, samples[window], key=key)
 
     def _on_trigger(self, t: float, end: _EndState, event: DriftEvent,
                     n_frames: Optional[int] = None) -> None:
-        """Upload the frames sampled for ``event``: ``n_frames`` when the
-        start state holds them, else sampled from the end's trace now."""
+        """Upload the frames sampled for ``event``: ``n_frames`` as ``_arm``
+        takes them from the start state, else sampled from the end's trace
+        now, as the per-frame reference loop in the tests has it."""
         if n_frames is None:
             n_frames = _sampled_frames(end.start.trace, event, self.sc.sampler)
 

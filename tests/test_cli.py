@@ -184,6 +184,34 @@ def test_invalid_json_names_its_file(tmp_path, capsys, command, flag):
     assert f"{path}: invalid JSON at line 1" in capsys.readouterr().err
 
 
+def test_main_builds_its_parser_once_and_calls_share_no_state(monkeypatch):
+    """Consecutive calls in one process parse with one parser, each into a
+    namespace of its own, and dispatch to the command function the module
+    holds at the time of the call."""
+    from evosched import cli
+    build, builds = cli.build_parser, []
+
+    def counted():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_simulate", lambda args: seen.append(vars(args)) or EXIT_OK)
+    assert main(["simulate", "--scenario", "a.json", "--seed", "5", "--verbose"]) == EXIT_OK
+    assert main(["simulate", "--scenario", "b.json"]) == EXIT_OK
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--seed", "5"])  # no --scenario
+    assert exc.value.code == EXIT_INPUT
+    assert main(["simulate", "--scenario", "c.json", "--policy", "adaptive"]) == EXIT_OK
+    common = dict(command="simulate", out=None, seed=None, policy=None, verbose=False)
+    assert seen == [{**common, "scenario": "a.json", "seed": 5, "verbose": True},
+                    {**common, "scenario": "b.json"},
+                    {**common, "scenario": "c.json", "policy": "adaptive"}]
+    assert builds == [1]
+
+
 def test_cli_import_leaves_scipy_unloaded():
     """Only curve fitting and regressor training need scipy, and each
     command imports the modules it runs, so loading the CLI must pull in

@@ -655,42 +655,85 @@ def test_policies_build_each_trace_once_and_match_cold_runs(monkeypatch, tmp_pat
         assert _output_bytes(replace(sc, policy=p), tmp_path) == warm[p], p
 
 
+def _count_scans(monkeypatch):
+    """Record ``(confidences, start frame)`` for every detector ``simenv``
+    arms; the confidences tell the ends apart."""
+    scans = []
+
+    def counted(trace, start, config):
+        scans.append((trace.cc.tobytes(), start))
+        return first_drift(trace, start, config)
+
+    monkeypatch.setattr(simenv, "first_drift", counted)
+    return scans
+
+
 @pytest.mark.parametrize("make, later_triggers", [
     ("mixed_drift_scenario", False),
     ("whole_second_scenario", True),  # ends trigger again after a download
 ])
 def test_policies_sample_each_first_trigger_once(make, later_triggers, monkeypatch):
+    """Each run from a cold cache samples every end's first window once.  A
+    pass over the policies from a cold cache samples each window any of
+    those runs samples once, the first ones and the later ones, and arms a
+    detector at each start frame any of them arms once."""
     import test_golden
     sc = getattr(test_golden, make)()
     first = _first_windows(sc)
     assert len(first) == len(sc.ends)
+    sampled, scanned = _count_samples(monkeypatch), _count_scans(monkeypatch)
+    windows, starts = Counter(), Counter()
+    for p in Policy:
+        simenv._starts.clear()
+        s0, c0 = len(sampled), len(scanned)
+        run(replace(sc, policy=p))
+        assert Counter(w for w in sampled[s0:] if w in first) == Counter(first), p
+        windows |= Counter(sampled[s0:])
+        starts |= Counter(scanned[c0:])
+    assert any(w not in first for w in windows) == later_triggers
+    simenv._starts.clear()
+    s0, c0 = len(sampled), len(scanned)
+    for p in Policy:
+        run(replace(sc, policy=p))
+    assert Counter(sampled[s0:]) == windows
+    assert Counter(scanned[c0:]) == starts
+
+
+def test_later_triggers_of_every_kind_match_cold_runs(monkeypatch, tmp_path):
+    """Ends that trigger again after a download, with sudden, incremental
+    and gradual later triggers: a pass over the policies, which reads each
+    re-arm and later sample from the start state, gives the bytes of runs
+    from a cold cache."""
+    from test_golden import fleet_like_scenario
+    sc = fleet_like_scenario(7)
+    first = _first_windows(sc)
     sampled = _count_samples(monkeypatch)
     simenv._starts.clear()
-    later = {}
+    warm = {p: _output_bytes(replace(sc, policy=p), tmp_path) for p in Policy}
+    assert {w[0] for w in sampled if w not in first} == set(DriftType)
     for p in Policy:
-        start = len(sampled)
-        run(replace(sc, policy=p))
-        later[p] = [w for w in sampled[start:] if w not in first]
-    assert Counter(w for w in sampled if w in first) == Counter(first)
-    assert [bool(later[p]) for p in Policy] == [later_triggers] * len(Policy)
-    for p in Policy:  # a cold run samples the same windows, the first ones too
         simenv._starts.clear()
-        start = len(sampled)
-        run(replace(sc, policy=p))
-        assert Counter(sampled[start:]) == Counter(first + later[p]), p
+        assert _output_bytes(replace(sc, policy=p), tmp_path) == warm[p], p
 
 
 def test_start_over_budget_samples_first_trigger_every_run(monkeypatch, tmp_path):
+    """A start over the budget lasts one run: each run scans and samples
+    as a cold run does, and gives its bytes."""
     from test_golden import mixed_drift_scenario
     sc = mixed_drift_scenario()
-    simenv._starts.clear()
-    cached = {p: _output_bytes(replace(sc, policy=p), tmp_path) for p in Policy}
     first = _first_windows(sc)
+    scanned = _count_scans(monkeypatch)
+    cold = {}
+    for p in Policy:
+        simenv._starts.clear()
+        c0 = len(scanned)
+        cold[p] = _output_bytes(replace(sc, policy=p), tmp_path), scanned[c0:]
     sampled = _count_samples(monkeypatch)
     monkeypatch.setattr(simenv, "_START_CACHE_FRAMES", 500)  # every end has 600 frames or more
     simenv._starts.clear()
     for p in Policy:
-        assert _output_bytes(replace(sc, policy=p), tmp_path) == cached[p], p
+        c0 = len(scanned)
+        assert (_output_bytes(replace(sc, policy=p), tmp_path), scanned[c0:]) == cold[p], p
     assert not simenv._starts.entries
     assert Counter(w for w in sampled if w in first) == Counter(first * len(Policy))
 
