@@ -682,21 +682,21 @@ def test_policies_sample_each_first_trigger_once(make, later_triggers, monkeypat
     first = _first_windows(sc)
     assert len(first) == len(sc.ends)
     sampled, scanned = _count_samples(monkeypatch), _count_scans(monkeypatch)
-    windows, starts = Counter(), Counter()
+    windows, starts = set(), set()
     for p in Policy:
         simenv._starts.clear()
         s0, c0 = len(sampled), len(scanned)
         run(replace(sc, policy=p))
         assert Counter(w for w in sampled[s0:] if w in first) == Counter(first), p
-        windows |= Counter(sampled[s0:])
-        starts |= Counter(scanned[c0:])
+        windows.update(sampled[s0:])
+        starts.update(scanned[c0:])
     assert any(w not in first for w in windows) == later_triggers
     simenv._starts.clear()
     s0, c0 = len(sampled), len(scanned)
     for p in Policy:
         run(replace(sc, policy=p))
-    assert Counter(sampled[s0:]) == windows
-    assert Counter(scanned[c0:]) == starts
+    assert Counter(sampled[s0:]) == Counter(windows)
+    assert Counter(scanned[c0:]) == Counter(starts)
 
 
 def test_later_triggers_of_every_kind_match_cold_runs(monkeypatch, tmp_path):
