@@ -153,20 +153,12 @@ class FrameTrace(abc.Sequence):
         return iter(self._records(slice(None)))
 
     def _records(self, rows: slice) -> List[FrameRecord]:
-        # The values were checked for the whole trace, so the frozen records
-        # are filled in directly, without their __init__ and its checks.
-        new, cats, records = object.__new__, self.categories, []
+        records = []
         for t, cc, lc, px, feats in zip(
                 self.t[rows].tolist(), self.cc[rows].tolist(), self.lc[rows].tolist(),
                 self.pixel_diff[rows].tolist(), self.features[rows].tolist()):
-            dets = []
-            for c, f in zip(cats, feats):
-                det = new(Detection)
-                det.__dict__.update(category=c, feature=tuple(f))
-                dets.append(det)
-            rec = new(FrameRecord)
-            rec.__dict__.update(t=t, cc=cc, lc=lc, pixel_diff=px, detections=tuple(dets))
-            records.append(rec)
+            dets = tuple(Detection(c, tuple(f)) for c, f in zip(self.categories, feats))
+            records.append(FrameRecord(t, cc, lc, px, dets))
         return records
 
 
@@ -462,26 +454,30 @@ TRACE_FIXED_COLUMNS = ["t", "cc", "lc", "pixel_diff", "n_det"]
 
 
 def write_trace_csv(path, frames: Iterable[FrameRecord]) -> None:
-    frames = list(frames)
-    dim = 0
-    for f in frames:
-        if f.detections:
-            dim = len(f.detections[0].feature)
-            break
+    """Write ``frames`` to ``path``; ValueError naming the record, before the file
+    is opened, for a time that does not increase or features of two lengths."""
+    rows, dims, last_t = [], set(), -math.inf
+    for i, f in enumerate(frames):
+        if not f.t > last_t:
+            raise ValueError(f"record {i}: t {f.t!r} does not exceed the previous record's {last_t!r}")
+        last_t = f.t
+        row = [repr(f.t), repr(f.cc), repr(f.lc), repr(f.pixel_diff), len(f.detections)]
+        for det in f.detections:
+            dims.add(len(det.feature))
+            row.append(det.category)
+            row.extend(repr(x) for x in det.feature)
+        if len(dims) > 1:
+            raise ValueError(f"record {i}: features of lengths {sorted(dims)} in one trace")
+        rows.append(row)
+    dim = dims.pop() if dims else 0
+    header = list(TRACE_FIXED_COLUMNS)
+    for k in range(max((row[4] for row in rows), default=0)):
+        header.append(f"det{k}_category")
+        header.extend(f"det{k}_f{j}" for j in range(dim))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = list(TRACE_FIXED_COLUMNS)
-        max_det = max((len(f.detections) for f in frames), default=0)
-        for k in range(max_det):
-            header.append(f"det{k}_category")
-            header.extend(f"det{k}_f{i}" for i in range(dim))
         writer.writerow(header)
-        for f in frames:
-            row = [repr(f.t), repr(f.cc), repr(f.lc), repr(f.pixel_diff), len(f.detections)]
-            for det in f.detections:
-                row.append(det.category)
-                row.extend(repr(x) for x in det.feature)
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def read_trace_csv(path) -> list:

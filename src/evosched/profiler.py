@@ -289,10 +289,6 @@ N_FEATURES = 5  # param size, data count, unfrozen layers, epochs, batch size
 _HIDDEN = 16
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
-
-
 def _features(rows) -> np.ndarray:
     """``rows`` as an (n, N_FEATURES) array; ValueError unless each is finite and positive."""
     x = np.asarray(rows, dtype=np.float64)
@@ -309,6 +305,17 @@ def _targets(samples) -> np.ndarray:
     if not np.isfinite(y).all() or (y <= 0).any():
         raise ValueError("retraining times must be finite and positive")
     return y
+
+
+def _layers(h: np.ndarray, weights: List[np.ndarray], biases: List[np.ndarray]):
+    """The network on standardized inputs ``h``: each hidden layer's
+    pre-activation, each layer's input (``h`` first) and the output."""
+    pre, inputs = [], [h]
+    for w, b in zip(weights[:-1], biases[:-1]):
+        pre.append(h @ w + b)
+        h = np.logaddexp(0.0, pre[-1])  # softplus
+        inputs.append(h)
+    return pre, inputs, (h @ weights[-1] + biases[-1]).ravel()
 
 
 class TimeRegressor:
@@ -329,24 +336,21 @@ class TimeRegressor:
         self.x_mean = np.asarray(x_mean, dtype=np.float64)
         self.x_std = np.asarray(x_std, dtype=np.float64)
 
-    def _forward(self, x: np.ndarray) -> np.ndarray:
-        h = (np.log(x) - self.x_mean) / self.x_std
-        for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = _softplus(h @ w + b)
-        return (h @ self.weights[-1] + self.biases[-1]).ravel()
-
     def predict(self, features: Sequence[float]) -> float:
         return float(self.predict_many([features])[0])
 
     def predict_many(self, features: np.ndarray) -> np.ndarray:
-        return np.exp(self._forward(_features(features)))
+        h = (np.log(_features(features)) - self.x_mean) / self.x_std
+        return np.exp(_layers(h, self.weights, self.biases)[2])
+
+
+_LEARNING_RATE = 0.01  # Adam's step size before the late-training decay
 
 
 def train_time_regressor(
     samples: Sequence[Tuple[Sequence[float], float]],
     seed: int = 0,
     epochs: int = 5000,
-    lr: float = 0.01,
 ) -> TimeRegressor:
     """Full-batch Adam training on log-seconds targets.
 
@@ -373,56 +377,38 @@ def train_time_regressor(
         for i in range(4)
     ]
     biases = [np.zeros(sizes[i + 1]) for i in range(4)]
+    params = weights + biases  # the same arrays, updated in place
 
-    m_w = [np.zeros_like(w) for w in weights]
-    v_w = [np.zeros_like(w) for w in weights]
-    m_b = [np.zeros_like(b) for b in biases]
-    v_b = [np.zeros_like(b) for b in biases]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     n = len(xs)
 
     for step in range(1, epochs + 1):
         # step-decayed learning rate keeps late training from oscillating
         if step > 0.9 * epochs:
-            step_lr = lr / 10.0
+            step_lr = _LEARNING_RATE / 10.0
         elif step > 0.6 * epochs:
-            step_lr = lr / 3.0
+            step_lr = _LEARNING_RATE / 3.0
         else:
-            step_lr = lr
-        # forward
-        acts = [xs]
-        pre = []
-        h = xs
-        for w, b in zip(weights[:-1], biases[:-1]):
-            z = h @ w + b
-            pre.append(z)
-            h = _softplus(z)
-            acts.append(h)
-        out = (h @ weights[-1] + biases[-1]).ravel()
-        # backward (mean squared error on log target)
-        delta = (2.0 / n) * (out - t)[:, None]
-        grads_w = [None] * 4
-        grads_b = [None] * 4
-        grads_w[3] = acts[3].T @ delta
-        grads_b[3] = delta.sum(axis=0)
-        back = delta @ weights[3].T
-        for layer in (2, 1, 0):
-            sig = expit(pre[layer])  # softplus'
-            d = back * sig
-            grads_w[layer] = acts[layer].T @ d
-            grads_b[layer] = d.sum(axis=0)
-            if layer > 0:
-                back = d @ weights[layer].T
+            step_lr = _LEARNING_RATE
+        pre, inputs, out = _layers(xs, weights, biases)
+        # backward (mean squared error on log target): d is the gradient with
+        # respect to layer i's pre-activation, and softplus' is expit
+        d = (2.0 / n) * (out - t)[:, None]
+        grads_w, grads_b = [None] * 4, [None] * 4
+        for i in (3, 2, 1, 0):
+            if i < 3:
+                d = (d @ weights[i + 1].T) * expit(pre[i])
+            grads_w[i] = inputs[i].T @ d
+            grads_b[i] = d.sum(axis=0)
         # Adam update
         bc1 = 1.0 - beta1 ** step
         bc2 = 1.0 - beta2 ** step
-        for i in range(4):
-            m_w[i] = beta1 * m_w[i] + (1 - beta1) * grads_w[i]
-            v_w[i] = beta2 * v_w[i] + (1 - beta2) * grads_w[i] ** 2
-            weights[i] -= step_lr * (m_w[i] / bc1) / (np.sqrt(v_w[i] / bc2) + eps)
-            m_b[i] = beta1 * m_b[i] + (1 - beta1) * grads_b[i]
-            v_b[i] = beta2 * v_b[i] + (1 - beta2) * grads_b[i] ** 2
-            biases[i] -= step_lr * (m_b[i] / bc1) / (np.sqrt(v_b[i] / bc2) + eps)
+        for i, (p, g) in enumerate(zip(params, grads_w + grads_b)):
+            m[i] = beta1 * m[i] + (1 - beta1) * g
+            v[i] = beta2 * v[i] + (1 - beta2) * g ** 2
+            p -= step_lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
 
     return TimeRegressor(weights=weights, biases=biases, x_mean=x_mean, x_std=x_std)
 

@@ -110,11 +110,10 @@ def _incremental_rows(times: np.ndarray, cfg: SamplerConfig) -> np.ndarray:
     starts = edges[:-1]
     bounds = np.searchsorted(times, edges)
     lo, hi = bounds[:-1], bounds[1:]
-    # linear_rate and round, per segment.  Trailing partial segments
+    # Each segment's rate, rounded to picks.  Trailing partial segments
     # contribute proportionally fewer picks.
     seg_len = np.minimum(RATE_STEP_SECONDS, t_end - starts)
-    rate = np.minimum(cfg.r_max, cfg.r0 + np.floor((starts - t1) / RATE_STEP_SECONDS) * cfg.delta_r)
-    n = np.round(rate * seg_len)
+    n = np.round(np.array([linear_rate(s, t1, cfg) for s in starts.tolist()]) * seg_len)
     # as in _sudden_rows, targets past a segment's frames change nothing
     count = np.maximum(0, np.minimum(n, hi - lo)).astype(np.intp)
     seg = np.repeat(np.arange(len(starts)), count)

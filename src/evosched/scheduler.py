@@ -9,7 +9,7 @@ is then divided among admitted tasks in proportion to their memory demands.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -107,30 +107,20 @@ def group_number(cfg: GroupingConfig) -> int:
     return max(1, math.floor(k + 0.5))
 
 
-def calibrate_sigma(
-    cfg: GroupingConfig,
-    target_k: int,
-    sigma_lo: float = 10.0,
-    sigma_hi: float = 25.0,
-    step: float = 0.05,
-) -> float:
-    """Midpoint of the sigma interval in [sigma_lo, sigma_hi] for which
+def calibrate_sigma(cfg: GroupingConfig, target_k: int) -> float:
+    """Midpoint of the sigma interval in [10, 25], stepped by 0.05, for which
     ``group_number`` returns ``target_k``; error if none exists."""
     feasible = []
-    s = sigma_lo
-    while s <= sigma_hi + 1e-12:
-        trial = GroupingConfig(
-            n_max=cfg.n_max, n_min=cfg.n_min, eps_range=cfg.eps_range,
-            sigma=s, lambda_min=cfg.lambda_min, lambda_max=cfg.lambda_max,
-        )
+    s = 10.0
+    while s <= 25.0 + 1e-12:
         try:
-            if group_number(trial) == target_k:
+            if group_number(replace(cfg, sigma=s)) == target_k:
                 feasible.append(s)
         except ValueError:
             pass
-        s += step
+        s += 0.05
     if not feasible:
-        raise ValueError(f"no sigma in [{sigma_lo}, {sigma_hi}] yields K={target_k}")
+        raise ValueError(f"no sigma in [10.0, 25.0] yields K={target_k}")
     return (feasible[0] + feasible[-1]) / 2.0
 
 

@@ -502,9 +502,7 @@ class _AccuracyModel:
 class _EndState:
     spec: MobileEndSpec
     index: int
-    # trace and the detectors armed on it: policy-free, so a run reads them
-    # and only adds what any run arming at the same frame would add
-    start: _Start
+    start: _Start  # policy-free: see _Start
     accuracy: _AccuracyModel
     cycle_start: float = 0.0
     mem_demand_mb: float = 0.0
@@ -608,14 +606,8 @@ class _Sim:
             key = (float(times[i - 1]), 0, end.index)
             self._push(float(times[i]), self._on_trigger, end, event, samples[window], key=key)
 
-    def _on_trigger(self, t: float, end: _EndState, event: DriftEvent,
-                    n_frames: Optional[int] = None) -> None:
-        """Upload the frames sampled for ``event``: ``n_frames`` as ``_arm``
-        takes them from the start state, else sampled from the end's trace
-        now, as the per-frame reference loop in the tests has it."""
-        if n_frames is None:
-            n_frames = _sampled_frames(end.start.trace, event, self.sc.sampler)
-
+    def _on_trigger(self, t: float, end: _EndState, event: DriftEvent, n_frames: int) -> None:
+        """Upload the ``n_frames`` frames the end sampled for ``event``."""
         t_upload = n_frames * end.spec.frame_bytes / (self.sc.uplink_mbps * MB)
         work = (n_frames * self.sc.epochs * end.spec.work_per_frame
                 * self.sc.data_reduction)

@@ -207,6 +207,20 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match=r"bad\.csv: malformed row at line 4: n_det"):
             read_trace_csv(path)
 
+    def test_writer_rejects_mixed_feature_lengths(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        frames = [frame(1.0, 0.8, 10.0, (Detection(category=0, feature=(1.0,)),)),
+                  frame(2.0, 0.8, 10.0, (Detection(category=0, feature=(1.0, 2.0)),))]
+        with pytest.raises(ValueError, match=r"record 1: features of lengths \[1, 2\]"):
+            write_trace_csv(path, frames)
+        assert not path.exists()
+
+    def test_writer_rejects_times_that_do_not_increase(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match="record 2: t 2.0 does not exceed"):
+            write_trace_csv(path, [frame(1.0, 0.8), frame(2.0, 0.8), frame(2.0, 0.7)])
+        assert not path.exists()
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")

@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import numpy as np
@@ -212,6 +213,19 @@ class TestTimeRegressor:
         r2 = train_time_regressor(samples, seed=0, epochs=300)
         for a, b in zip(r1.weights + r1.biases, r2.weights + r2.biases):
             assert np.array_equal(a, b)
+
+    def test_weights_and_predictions_pinned(self, trained):
+        # Digests of the fixture's trained bytes: any change to the forward
+        # pass, the backward pass or the Adam update moves at least one bit.
+        reg, holdout = trained
+        params = hashlib.sha256()
+        for a in reg.weights + reg.biases:
+            params.update(np.ascontiguousarray(a).tobytes())
+        assert params.hexdigest() == (
+            "d0aefe2249b19a4886a826a468f2495c8cc407b90607ec8c596d4d6f19328b45")
+        pred = reg.predict_many([f for f, _ in holdout])
+        assert hashlib.sha256(pred.tobytes()).hexdigest() == (
+            "e6ff2ac6c2bc5030590cbcc2b2f7198b3b33708bd6442fb78bf45b86c87e24e4")
 
     def test_positive_and_fast(self, trained):
         reg, holdout = trained

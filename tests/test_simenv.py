@@ -521,7 +521,8 @@ class ReferenceSim(_Sim):
         event = self.detectors[end.index].update(frames[i])
         if event is not None:
             self.busy.add(end.index)
-            self._on_trigger(t, end, event)
+            n_frames = simenv._sampled_frames(end.start.trace, event, self.sc.sampler)
+            self._on_trigger(t, end, event, n_frames)
 
 
 _FC_10240 = ModelArch(layers=(LayerSpec(kind=LayerKind.FC, c_in=10240, c_out=10240),),
