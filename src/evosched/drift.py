@@ -453,19 +453,39 @@ def _event(trace: FrameTrace, start: int, t1_at: int, t2_at: int, t3_at: int,
 TRACE_FIXED_COLUMNS = ["t", "cc", "lc", "pixel_diff", "n_det"]
 
 
+_INTS = (int, np.integer)
+_FLOATS = (float, np.float16, np.float32)  # np.float64 is a float
+
+
+def _text(x, what: str, i: int, real: bool = True) -> str:
+    """``x`` written as the Python number it equals, the text the reader
+    parses; ValueError naming record ``i`` unless ``x`` is an integer (a
+    bool is not one) or, if ``real``, a finite float."""
+    if isinstance(x, _INTS) and not isinstance(x, bool):
+        return str(int(x))
+    if real and isinstance(x, _FLOATS) and math.isfinite(x):
+        return repr(float(x))
+    raise ValueError(f"record {i}: {what} {x!r} is not "
+                     + ("a finite real number" if real else "an integer"))
+
+
 def write_trace_csv(path, frames: Iterable[FrameRecord]) -> None:
     """Write ``frames`` to ``path``; ValueError naming the record, before the file
-    is opened, for a time that does not increase or features of two lengths."""
+    is opened, for a time that does not increase, a category that is not an
+    integer, a field or feature that is not a finite real number, or features
+    of two lengths."""
     rows, dims, last_t = [], set(), -math.inf
     for i, f in enumerate(frames):
+        row = [_text(x, name, i)
+               for name, x in zip(TRACE_FIXED_COLUMNS, (f.t, f.cc, f.lc, f.pixel_diff))]
         if not f.t > last_t:
             raise ValueError(f"record {i}: t {f.t!r} does not exceed the previous record's {last_t!r}")
         last_t = f.t
-        row = [repr(f.t), repr(f.cc), repr(f.lc), repr(f.pixel_diff), len(f.detections)]
+        row.append(len(f.detections))
         for det in f.detections:
             dims.add(len(det.feature))
-            row.append(det.category)
-            row.extend(repr(x) for x in det.feature)
+            row.append(_text(det.category, "category", i, real=False))
+            row.extend(_text(x, "feature", i) for x in det.feature)
         if len(dims) > 1:
             raise ValueError(f"record {i}: features of lengths {sorted(dims)} in one trace")
         rows.append(row)

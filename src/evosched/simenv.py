@@ -9,10 +9,10 @@ knapsack pipeline.  Identical (scenario, seed) inputs give identical outputs.
 from __future__ import annotations
 
 import csv
+import functools
 import heapq
 import json
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -307,26 +307,12 @@ def _sampled_frames(trace: FrameTrace, event: DriftEvent, sampler_cfg: SamplerCo
 
 
 # --- per-end start state ----------------------------------------------------
-# What an end sees does not depend on the policy: its trace, the first drift a
-# fresh detector armed at a given frame finds in it and the frames the end
-# samples for a drift's window are the same in every run of a scenario.  A
-# policy decides only at which frames downloads re-arm the detector.  One
-# cache keeps each end's trace, keyed by everything gen_trace, the scans and
-# the sampler read, with every scan and sample count a run has made on it:
-# the first trigger's (armed at frame 0) and each re-arm's after a download.
-# A pass of all policies over a scenario so builds each end's trace once,
-# scans from each start frame once and samples each window once.  Nothing a
-# policy does may change a cached start.  Whatever a run changes in what an
-# end sees (a download lifting its confidence, say) must be applied where
-# the run reads the trace, never to the trace itself, and must be part of
-# the key of each scan and sample count it changes.
-
-# The frames the cache retains at most.  A frame whose detection features have
-# been drawn takes about 112 bytes with its cumulative CLC, so the cache holds
-# at most about 28 MiB: a 30-end, 1,500 s fleet at 1 fps or 30 ends of 5,950
-# frames fit in it.
-_START_CACHE_FRAMES = 2 ** 18
-
+# What an end sees does not depend on the policy, so the runs of a scenario
+# share it: _starts keeps the last scenario's, keyed by everything gen_trace,
+# first_drift and _sampled_frames read.  Nothing a policy does may change a
+# start; whatever a run changes in what an end sees (a download lifting its
+# confidence, say) must be applied where the run reads the trace and join the
+# key of what it changes.
 
 class _Start(NamedTuple):
     """An end's policy-free start: its trace, what a fresh detector armed at
@@ -341,40 +327,13 @@ class _Start(NamedTuple):
     samples: Dict[Tuple[DriftType, float, float], int]
 
 
-class _StartCache:
-    """Each end's :class:`_Start`, least recently used first, holding at most
-    ``_START_CACHE_FRAMES`` frames of trace; a trace longer than that is
-    built for its run and not retained, so its ``drifts`` and ``samples``
-    last that run."""
-
-    def __init__(self):
-        self.entries = OrderedDict()  # key -> _Start
-        self.frames = 0
-
-    def clear(self) -> None:
-        self.entries.clear()
-        self.frames = 0
-
-    def get(self, spec: MobileEndSpec, seed: int, end_index: int, duration: float,
-            sampler_cfg: SamplerConfig, detector: DetectorConfig) -> _Start:
-        # frozen dataclasses compare and hash by value: the key is the content
-        key = (spec, seed, end_index, duration, sampler_cfg, detector)
-        start = self.entries.get(key)
-        if start is not None:
-            self.entries.move_to_end(key)
-            return start
-        # looked up as a module global, so a wrapper of gen_trace sees each miss
-        start = _Start(gen_trace(spec, seed, end_index, duration, sampler_cfg), {}, {})
-        if len(start.trace) <= _START_CACHE_FRAMES:
-            self.entries[key] = start
-            self.frames += len(start.trace)
-            while self.frames > _START_CACHE_FRAMES:
-                _, old = self.entries.popitem(last=False)
-                self.frames -= len(old.trace)
-        return start
-
-
-_starts = _StartCache()
+@functools.lru_cache(maxsize=1)
+def _starts(ends: Tuple[MobileEndSpec, ...], seed: int, duration: float,
+            sampler_cfg: SamplerConfig, detector: DetectorConfig) -> Tuple[_Start, ...]:
+    """Each end's :class:`_Start`; ``detector`` keys the ``drifts`` runs add."""
+    # looked up as a module global, so a wrapper of gen_trace sees each build
+    return tuple(_Start(gen_trace(spec, seed, i, duration, sampler_cfg), {}, {})
+                 for i, spec in enumerate(ends))
 
 
 # --- ground-truth retraining cost model -------------------------------------
@@ -542,9 +501,9 @@ class _Sim:
         self._work_t = 0.0  # time up to which remaining_work is current
 
         self.ends = []
-        for i, spec in enumerate(scenario.ends):
-            start = _starts.get(spec, scenario.seed, i, scenario.duration,
-                                scenario.sampler, scenario.detector)
+        starts = _starts(scenario.ends, scenario.seed, scenario.duration,
+                         scenario.sampler, scenario.detector)
+        for i, (spec, start) in enumerate(zip(scenario.ends, starts)):
             memory = memory_demand(spec.arch)
             end = _EndState(
                 spec=spec, index=i, start=start,

@@ -227,6 +227,95 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match="header"):
             read_trace_csv(path)
 
+    def test_numpy_scalars_written_as_numbers(self, tmp_path):
+        dets = (Detection(category=np.int64(1), feature=(np.float64(0.5), np.float64(1.5))),)
+        frames = [FrameRecord(t=np.float64(1.0), cc=np.float64(0.5), lc=np.float64(0.25),
+                              pixel_diff=np.float64(10.0), detections=dets)]
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, frames)
+        assert path.read_text().splitlines()[1] == "1.0,0.5,0.25,10.0,1,1,0.5,1.5"
+        assert read_trace_csv(path) == frames
+
+    def test_float32_feature_written_as_the_float_it_equals(self, tmp_path):
+        feature = (np.float32(0.1), np.float32(2.0))
+        frames = [frame(1.0, 0.8, 10.0, (Detection(category=0, feature=feature),))]
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, frames)
+        assert path.read_text().splitlines()[1].endswith(",0,0.10000000149011612,2.0")
+        assert read_trace_csv(path) == frames
+
+    @pytest.mark.parametrize("category", [1.5, 1.0, True, "x"])
+    def test_writer_rejects_category_not_an_integer(self, tmp_path, category):
+        path = tmp_path / "bad.csv"
+        frames = [frame(1.0, 0.8),
+                  frame(2.0, 0.8, 10.0, (Detection(category=category, feature=(0.5,)),))]
+        with pytest.raises(ValueError, match=rf"record 1: category {category!r} is not an integer"):
+            write_trace_csv(path, frames)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [True, "a"])
+    def test_writer_rejects_feature_not_a_real_number(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        frames = [frame(1.0, 0.8, 10.0, (Detection(category=0, feature=(0.5, value)),))]
+        with pytest.raises(ValueError, match=rf"record 0: feature {value!r} is not a finite real"):
+            write_trace_csv(path, frames)
+        assert not path.exists()
+
+
+def _numbers(values):
+    """``values`` as Python floats, numpy float64 and float32 scalars, and, for
+    whole values, Python and numpy ints; every kind reads back equal."""
+    kinds = [float, np.float64, np.float32]
+    return values.flatmap(lambda v: st.sampled_from(
+        kinds + [int, np.int64] if v == int(v) else kinds).map(lambda kind: kind(v)))
+
+
+# not numbers the reader parses back; each must make the writer raise
+_BAD_CATEGORIES = (1.5, 1.0, True, "x", np.float64(2.0), np.bool_(True))
+_BAD_FEATURES = (True, "a", np.bool_(False), math.nan, math.inf)
+
+
+@st.composite
+def _trace_records(draw):
+    """Up to six records of Python and numpy scalars, 0 to 3 detections a
+    frame and one feature length, and whether some category or feature is
+    one of the bad values above."""
+    unit = _numbers(st.floats(0.0, 1.0))
+    dim, t, frames, bad = draw(st.integers(0, 3)), 0.0, [], False
+    for _ in range(draw(st.integers(0, 6))):
+        t += draw(st.floats(0.5, 10.0))
+        dets = []
+        for _ in range(draw(st.integers(0, 3))):
+            category, bad_category = draw(st.one_of(
+                st.integers().map(lambda c: (c, False)),
+                st.integers(-2 ** 63, 2 ** 63 - 1).map(lambda c: (np.int64(c), False)),
+                st.sampled_from(_BAD_CATEGORIES).map(lambda c: (c, True))))
+            feature = draw(st.lists(st.one_of(
+                _numbers(st.floats(-1e6, 1e6) | st.integers(-2 ** 20, 2 ** 20).map(float))
+                .map(lambda x: (x, False)),
+                st.sampled_from(_BAD_FEATURES).map(lambda x: (x, True))),
+                min_size=dim, max_size=dim))
+            bad = bad or bad_category or any(b for _, b in feature)
+            dets.append(Detection(category=category, feature=tuple(x for x, _ in feature)))
+        frames.append(FrameRecord(t=draw(_numbers(st.just(t))), cc=draw(unit), lc=draw(unit),
+                                  pixel_diff=draw(_numbers(st.floats(0.0, 1e6))),
+                                  detections=tuple(dets)))
+    return frames, bad
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_trace_records())
+def test_trace_csv_reads_back_what_it_accepts(case, tmp_path_factory):
+    frames, bad = case
+    path = tmp_path_factory.mktemp("csv") / "trace.csv"
+    if bad:
+        with pytest.raises(ValueError, match=r"record \d+: (category|feature) "):
+            write_trace_csv(path, frames)
+        assert not path.exists()
+    else:
+        write_trace_csv(path, frames)
+        assert read_trace_csv(path) == frames
+
 
 # --- the columnar trace and the array scan -------------------------------------
 

@@ -1,7 +1,9 @@
 import functools
+import gc
 import math
 import tempfile
 import warnings
+import weakref
 from collections import Counter
 from dataclasses import MISSING, fields, is_dataclass, replace
 from pathlib import Path
@@ -280,7 +282,7 @@ def test_sudden_only_run_builds_no_records_and_draws_no_features(monkeypatch):
         raise AssertionError("a FrameRecord was built")
 
     monkeypatch.setattr(FrameTrace, "_records", no_records)
-    simenv._starts.clear()  # a cold run: an earlier test may have built these traces
+    simenv._starts.cache_clear()  # a cold run: an earlier test may have built these traces
     assert run(bench_scenario(0)).n_tasks > 0
     assert 0 in purposes and 2 not in purposes
 
@@ -588,14 +590,14 @@ def _trigger_tie_scenario():
 @given(sc=_tied_scenario())
 @example(sc=_trigger_tie_scenario())
 def test_run_matches_per_frame_reference(sc):
-    simenv._starts.clear()
+    simenv._starts.cache_clear()
     cold = run(sc)
     warm = run(sc)  # each end's trace and first trigger from the cache
     want = ReferenceSim(sc).run()
     assert cold == want and warm == want
 
 
-# --- per-end start-state cache -------------------------------------------------
+# --- per-end start-state memo --------------------------------------------------
 
 def _count_traces(monkeypatch):
     """Record ``(end_id, seed, end_index)`` for every trace ``simenv`` builds."""
@@ -648,11 +650,11 @@ def test_policies_build_each_trace_once_and_match_cold_runs(monkeypatch, tmp_pat
     from test_golden import mixed_drift_scenario
     sc = mixed_drift_scenario()  # sudden, incremental and gradual ends
     built = _count_traces(monkeypatch)
-    simenv._starts.clear()
+    simenv._starts.cache_clear()
     warm = {p: _output_bytes(replace(sc, policy=p), tmp_path) for p in Policy}
     assert sorted(built) == sorted((e.end_id, sc.seed, i) for i, e in enumerate(sc.ends))
     for p in Policy:
-        simenv._starts.clear()
+        simenv._starts.cache_clear()
         assert _output_bytes(replace(sc, policy=p), tmp_path) == warm[p], p
 
 
@@ -674,8 +676,8 @@ def _count_scans(monkeypatch):
     ("whole_second_scenario", True),  # ends trigger again after a download
 ])
 def test_policies_sample_each_first_trigger_once(make, later_triggers, monkeypatch):
-    """Each run from a cold cache samples every end's first window once.  A
-    pass over the policies from a cold cache samples each window any of
+    """Each run from a cold memo samples every end's first window once.  A
+    pass over the policies from a cold memo samples each window any of
     those runs samples once, the first ones and the later ones, and arms a
     detector at each start frame any of them arms once."""
     import test_golden
@@ -685,14 +687,14 @@ def test_policies_sample_each_first_trigger_once(make, later_triggers, monkeypat
     sampled, scanned = _count_samples(monkeypatch), _count_scans(monkeypatch)
     windows, starts = set(), set()
     for p in Policy:
-        simenv._starts.clear()
+        simenv._starts.cache_clear()
         s0, c0 = len(sampled), len(scanned)
         run(replace(sc, policy=p))
         assert Counter(w for w in sampled[s0:] if w in first) == Counter(first), p
         windows.update(sampled[s0:])
         starts.update(scanned[c0:])
     assert any(w not in first for w in windows) == later_triggers
-    simenv._starts.clear()
+    simenv._starts.cache_clear()
     s0, c0 = len(sampled), len(scanned)
     for p in Policy:
         run(replace(sc, policy=p))
@@ -704,47 +706,25 @@ def test_later_triggers_of_every_kind_match_cold_runs(monkeypatch, tmp_path):
     """Ends that trigger again after a download, with sudden, incremental
     and gradual later triggers: a pass over the policies, which reads each
     re-arm and later sample from the start state, gives the bytes of runs
-    from a cold cache."""
+    from a cold memo."""
     from test_golden import fleet_like_scenario
     sc = fleet_like_scenario(7)
     first = _first_windows(sc)
     sampled = _count_samples(monkeypatch)
-    simenv._starts.clear()
+    simenv._starts.cache_clear()
     warm = {p: _output_bytes(replace(sc, policy=p), tmp_path) for p in Policy}
     assert {w[0] for w in sampled if w not in first} == set(DriftType)
     for p in Policy:
-        simenv._starts.clear()
+        simenv._starts.cache_clear()
         assert _output_bytes(replace(sc, policy=p), tmp_path) == warm[p], p
-
-
-def test_start_over_budget_samples_first_trigger_every_run(monkeypatch, tmp_path):
-    """A start over the budget lasts one run: each run scans and samples
-    as a cold run does, and gives its bytes."""
-    from test_golden import mixed_drift_scenario
-    sc = mixed_drift_scenario()
-    first = _first_windows(sc)
-    scanned = _count_scans(monkeypatch)
-    cold = {}
-    for p in Policy:
-        simenv._starts.clear()
-        c0 = len(scanned)
-        cold[p] = _output_bytes(replace(sc, policy=p), tmp_path), scanned[c0:]
-    sampled = _count_samples(monkeypatch)
-    monkeypatch.setattr(simenv, "_START_CACHE_FRAMES", 500)  # every end has 600 frames or more
-    simenv._starts.clear()
-    for p in Policy:
-        c0 = len(scanned)
-        assert (_output_bytes(replace(sc, policy=p), tmp_path), scanned[c0:]) == cold[p], p
-    assert not simenv._starts.entries
-    assert Counter(w for w in sampled if w in first) == Counter(first * len(Policy))
 
 
 @pytest.mark.parametrize("change, misses", [
     (lambda sc: replace(sc, seed=sc.seed + 1), 5),
-    (lambda sc: replace(sc, ends=sc.ends[::-1]), 4),  # the middle end keeps its index
+    (lambda sc: replace(sc, ends=sc.ends[::-1]), 5),
     (lambda sc: replace(sc, ends=sc.ends[1:]), 4),    # every end moves up one index
     (lambda sc: replace(sc, duration=sc.duration - 50.0), 5),
-    (lambda sc: replace(sc, ends=(replace(sc.ends[0], base_accuracy=0.75),) + sc.ends[1:]), 1),
+    (lambda sc: replace(sc, ends=(replace(sc.ends[0], base_accuracy=0.75),) + sc.ends[1:]), 5),
     (lambda sc: replace(sc, sampler=replace(sc.sampler, frame_w=640)), 5),
     (lambda sc: replace(sc, sampler=replace(sc.sampler, frame_h=360)), 5),
     (lambda sc: replace(sc, detector=replace(sc.detector, rod_threshold=0.5)), 5),
@@ -754,64 +734,54 @@ def test_changed_key_input_misses_and_gives_cold_result(change, misses, monkeypa
                                                         tmp_path):
     from test_golden import mixed_drift_scenario
     sc = replace(mixed_drift_scenario(), policy=Policy.ADAPTIVE)
-    simenv._starts.clear()
+    simenv._starts.cache_clear()
     run(sc)
     changed = change(sc)
     built = _count_traces(monkeypatch)
     warm = _output_bytes(changed, tmp_path)
     assert len(built) == misses
-    simenv._starts.clear()
+    simenv._starts.cache_clear()
     assert _output_bytes(changed, tmp_path) == warm
 
 
-def _quiet_ends(n, frames, frame_rate=1.0):
-    return tuple(MobileEndSpec(end_id=f"q{i}", arch=tiny_arch(), frame_rate=frame_rate)
-                 for i in range(n)), frames / frame_rate
+def test_memo_keeps_only_the_scenario_in_use(monkeypatch):
+    """A pass over a scenario's policies keeps the traces its first run
+    built; a run with other settings lets every one of them go."""
+    from test_golden import mixed_drift_scenario
+    sc = mixed_drift_scenario()
+    built = []
+
+    def kept(*args):
+        trace = gen_trace(*args)
+        built.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(simenv, "gen_trace", kept)
+    simenv._starts.cache_clear()
+    for p in Policy:
+        run(replace(sc, policy=p))
+    assert len(built) == len(sc.ends) and all(ref() is not None for ref in built)
+    run(replace(sc, seed=sc.seed + 1))
+    gc.collect()
+    assert [ref() for ref in built[:len(sc.ends)]] == [None] * len(sc.ends)
+
+
+def _quiet_ends(n, frames):
+    return tuple(MobileEndSpec(end_id=f"q{i}", arch=tiny_arch()) for i in range(n)), float(frames)
 
 
 @pytest.mark.parametrize("n, frames", [(30, 1500), (30, 5950)],
                          ids=["fleet-pass", "criterion-8-loop"])
 def test_budget_holds_a_pass(n, frames, monkeypatch):
+    """A five-policy pass builds no trace after its first run."""
     ends, duration = _quiet_ends(n, frames)
     sc = scenario(ends, duration=duration)
-    simenv._starts.clear()
+    simenv._starts.cache_clear()
     run(sc)
     built = _count_traces(monkeypatch)
     for policy in Policy:
         run(replace(sc, policy=policy))
-    assert built == [] and simenv._starts.frames == n * frames
-
-
-def test_cached_frames_stay_within_budget(monkeypatch):
-    monkeypatch.setattr(simenv, "_START_CACHE_FRAMES", 250)
-    ends, duration = _quiet_ends(6, 100)
-    simenv._starts.clear()
-    for seed in range(4):
-        run(scenario(ends, seed=seed, duration=duration))
-        assert simenv._starts.frames <= 250
-        # the two most recently built ends are kept, the least recent first
-        assert [(key[0].end_id, key[1]) for key in simenv._starts.entries] == [
-            ("q4", seed), ("q5", seed)]
-    simenv._starts.clear()
-    run(scenario(ends[:2], duration=duration))
-    run(scenario(ends[2:3], duration=duration))
-    run(scenario(ends[:1], duration=duration))  # a hit makes q0 the most recent
-    run(scenario(ends[3:4], duration=duration))
-    assert [key[0].end_id for key in simenv._starts.entries] == ["q0", "q3"]
-
-
-def test_trace_longer_than_budget_not_retained(monkeypatch):
-    frames = simenv._START_CACHE_FRAMES + 60
-    (long_end,), duration = _quiet_ends(1, frames, frame_rate=300.0)
-    short_end = MobileEndSpec(end_id="short", arch=tiny_arch())
-    sc = scenario([short_end, long_end], duration=duration)
-    simenv._starts.clear()
-    built = _count_traces(monkeypatch)
-    run(sc)
-    run(sc)
-    assert built == [("short", 7, 0), ("q0", 7, 1), ("q0", 7, 1)]
-    assert [key[0].end_id for key in simenv._starts.entries] == ["short"]
-    assert simenv._starts.frames == len(gen_trace(short_end, 7, 0, duration))
+    assert built == []
 
 
 class TestRun:

@@ -156,5 +156,5 @@ def _metrics_bytes(metrics):
 @given(sc=_scenarios())
 def test_random_runs_keep_invariants_and_repeat(sc):
     checked = _metrics_bytes(CheckedSim(sc).run())
-    simenv._starts.clear()
+    simenv._starts.cache_clear()
     assert _metrics_bytes(run(sc)) == checked
