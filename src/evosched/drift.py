@@ -458,15 +458,23 @@ _FLOATS = (float, np.float16, np.float32)  # np.float64 is a float
 
 
 def _text(x, what: str, i: int, real: bool = True) -> str:
-    """``x`` written as the Python number it equals, the text the reader
-    parses; ValueError naming record ``i`` unless ``x`` is an integer (a
-    bool is not one) or, if ``real``, a finite float."""
-    if isinstance(x, _INTS) and not isinstance(x, bool):
+    """``x`` written as the text the reader parses back to it: an integer
+    (a bool is not one) as itself and, if ``real``, any number as the repr
+    of the float it equals; ValueError naming record ``i`` for anything
+    else, such as an integer no finite float equals."""
+    integer = isinstance(x, _INTS) and not isinstance(x, bool)
+    if not real and integer:
         return str(int(x))
-    if real and isinstance(x, _FLOATS) and math.isfinite(x):
-        return repr(float(x))
+    if real and (integer or isinstance(x, _FLOATS)):
+        try:
+            value = float(x)
+        except OverflowError:
+            value = math.inf
+        # an int and a float compare exactly
+        if math.isfinite(value) and (not integer or value == int(x)):
+            return repr(value)
     raise ValueError(f"record {i}: {what} {x!r} is not "
-                     + ("a finite real number" if real else "an integer"))
+                     + ("a finite real number a float holds exactly" if real else "an integer"))
 
 
 def write_trace_csv(path, frames: Iterable[FrameRecord]) -> None:

@@ -198,14 +198,30 @@ def write_arch_json(path, arch: ModelArch) -> None:
         fh.write("\n")
 
 
+def json_doc(text: str):
+    """The JSON document ``text`` holds; invalid JSON raises ValueError
+    naming the line."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+
+
+def parse_file(path, parse):
+    """``parse`` applied to the text of file ``path``; a ValueError it raises
+    is raised again naming the file."""
+    with open(path) as fh:
+        text = fh.read()
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def read_json(path):
     """The JSON document in file ``path``; invalid JSON raises ValueError
     naming the file and the line."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    return parse_file(path, json_doc)
 
 
 def read_arch_json(path) -> ModelArch:

@@ -44,8 +44,9 @@ from .profiler import (
     arch_from_doc,
     doc_fields,
     fields_doc,
+    json_doc,
     memory_demand,
-    read_json,
+    parse_file,
 )
 from .sampler import (
     GlobalFeatureModel,
@@ -230,11 +231,12 @@ def gen_trace(
     cfg = sampler_cfg or SamplerConfig()
     area = float(cfg.frame_w * cfg.frame_h)
     noise_rng = _stream(seed, end_index, 0)
-    mix_rng = _stream(seed, end_index, 1)
 
     n = max(0, int(duration * spec.frame_rate))
     t = np.arange(1, n + 1) / spec.frame_rate
-    mix = mix_rng.random(n)
+    # only a gradual drift reads the mixture, and substreams are independent
+    gradual = any(ev.drift_type is DriftType.GRADUAL for ev in spec.drift_events)
+    mix = _stream(seed, end_index, 1).random(n) if gradual else None
     # normal(0, scale) draws 0 + scale * z for each standard normal z
     noise = noise_rng.standard_normal((n, 2)) * [0.01, 0.02 * area]
 
@@ -790,8 +792,20 @@ def scenario_from_json(doc: dict) -> Scenario:
         raise ValueError(f"invalid scenario: {exc}") from exc
 
 
+@functools.lru_cache(maxsize=1)
+def _scenario_in(text: str) -> Scenario:
+    """The scenario JSON ``text`` holds.  A scenario is frozen and callers
+    apply a policy or seed of their own with ``replace``, so the last text
+    parsed keeps its scenario until another text is parsed; a text that
+    fails raises and is not kept."""
+    # looked up as a module global, so a wrapper sees each parse
+    return scenario_from_json(json_doc(text))
+
+
 def load_scenario(path) -> Scenario:
-    return scenario_from_json(read_json(path))
+    """The scenario in file ``path``; ValueError naming the file if it is
+    not one."""
+    return parse_file(path, _scenario_in)
 
 
 def save_scenario(path, scenario: Scenario) -> None:

@@ -184,6 +184,60 @@ def test_invalid_json_names_its_file(tmp_path, capsys, command, flag):
     assert f"{path}: invalid JSON at line 1" in capsys.readouterr().err
 
 
+class TestScenarioMemo:
+    """``simenv.load_scenario`` keeps the last scenario text it parsed."""
+
+    def test_policies_over_one_file_parse_it_once(self, scenario_path, tmp_path,
+                                                 monkeypatch):
+        parse, parses = simenv.scenario_from_json, []
+
+        def counted(doc):
+            parses.append(1)
+            return parse(doc)
+
+        # load other bytes first: an earlier test may have loaded these
+        other = tmp_path / "other.json"
+        save_scenario(other, Scenario(seed=1, ends=(sudden_end(),)))
+        simenv.load_scenario(other)
+        monkeypatch.setattr(simenv, "scenario_from_json", counted)
+        for policy in Policy:
+            assert main(["simulate", "--scenario", str(scenario_path), "--policy",
+                         policy.value, "--out", str(tmp_path / policy.value)]) == EXIT_OK
+            summary = json.loads((tmp_path / policy.value / "summary.json").read_text())
+            assert summary["policy"] == policy.value
+        assert len(parses) == 1
+
+    def test_rewritten_file_gives_its_new_scenario(self, scenario_path, tmp_path):
+        first = simenv.load_scenario(scenario_path)
+        reseeded = Scenario(seed=8, ends=first.ends, policy=Policy.ADAPTIVE)
+        save_scenario(scenario_path, reseeded)
+        assert simenv.load_scenario(scenario_path) == reseeded
+        other_end = Scenario(seed=8, ends=(first.ends[0], sudden_end("end-c", t=90.0)),
+                             policy=Policy.ADAPTIVE)
+        save_scenario(scenario_path, other_end)
+        assert simenv.load_scenario(scenario_path) == other_end
+        out = tmp_path / "o"
+        assert main(["simulate", "--scenario", str(scenario_path), "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["seed"] == 8
+
+    def test_failed_parse_is_not_kept(self, scenario_path, tmp_path, capsys):
+        good = scenario_path.read_text()
+        newer = json.loads(good)
+        newer["schema_version"] = simenv.SCHEMA_VERSION + 1
+        argv = ["simulate", "--scenario", str(scenario_path), "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_OK
+        for bad, message in (("{not json", "invalid JSON at line 1"),
+                             (json.dumps(newer), "unsupported schema_version")):
+            scenario_path.write_text(bad)
+            capsys.readouterr()
+            assert main(argv) == EXIT_INPUT
+            assert f"{scenario_path}: {message}" in capsys.readouterr().err
+            scenario_path.write_text(good)
+            assert main(argv) == EXIT_OK
+            scenario_path.write_text(bad)
+            assert main(argv) == EXIT_INPUT
+
+
 def test_main_builds_its_parser_once_and_calls_share_no_state(monkeypatch):
     """Consecutive calls in one process parse with one parser, each into a
     namespace of its own, and dispatch to the command function the module

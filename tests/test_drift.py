@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -253,6 +254,29 @@ class TestTraceCsv:
             write_trace_csv(path, frames)
         assert not path.exists()
 
+    def test_integers_written_as_the_float_they_equal(self, tmp_path):
+        dets = (Detection(category=np.int64(2), feature=(3, np.int64(-2 ** 53))),)
+        frames = [FrameRecord(t=1, cc=0, lc=1, pixel_diff=np.uint8(7), detections=dets)]
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, frames)
+        assert path.read_text().splitlines()[1] == "1.0,0.0,1.0,7.0,1,2,3.0,-9007199254740992.0"
+        assert read_trace_csv(path) == frames
+
+    @pytest.mark.parametrize("value", [2 ** 53 + 1, np.int64(-2 ** 53 - 1),
+                                       np.uint64(2 ** 64 - 1)])
+    def test_writer_rejects_feature_integer_no_float_equals(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        frames = [frame(1.0, 0.8, 10.0, (Detection(category=0, feature=(0.5, value)),))]
+        with pytest.raises(ValueError, match=rf"record 0: feature {re.escape(repr(value))} is not a finite real"):
+            write_trace_csv(path, frames)
+        assert not path.exists()
+
+    def test_writer_rejects_pixel_diff_beyond_float_range(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match="record 1: pixel_diff 1000+ is not a finite real"):
+            write_trace_csv(path, [frame(1.0, 0.8), frame(2.0, 0.8, 10 ** 400)])
+        assert not path.exists()
+
     @pytest.mark.parametrize("value", [True, "a"])
     def test_writer_rejects_feature_not_a_real_number(self, tmp_path, value):
         path = tmp_path / "bad.csv"
@@ -268,6 +292,21 @@ def _numbers(values):
     kinds = [float, np.float64, np.float32]
     return values.flatmap(lambda v: st.sampled_from(
         kinds + [int, np.int64] if v == int(v) else kinds).map(lambda kind: kind(v)))
+
+
+def _integers(signed=True):
+    """Python ints of up to 1,100 bits and numpy int64s, each with whether no
+    float equals it, so that the writer must reject it in a real field."""
+    def no_float_equals(n):
+        try:
+            return float(n) != int(n)
+        except OverflowError:
+            return True
+
+    bits = st.integers(0, 64) | st.sampled_from([1023, 1024, 1100])
+    python = bits.flatmap(lambda b: st.integers(-2 ** b if signed else 0, 2 ** b))
+    int64 = st.integers(-2 ** 63 if signed else 0, 2 ** 63 - 1).map(np.int64)
+    return (python | int64).map(lambda n: (n, no_float_equals(n)))
 
 
 # not numbers the reader parses back; each must make the writer raise
@@ -293,13 +332,16 @@ def _trace_records(draw):
             feature = draw(st.lists(st.one_of(
                 _numbers(st.floats(-1e6, 1e6) | st.integers(-2 ** 20, 2 ** 20).map(float))
                 .map(lambda x: (x, False)),
+                _integers(),
                 st.sampled_from(_BAD_FEATURES).map(lambda x: (x, True))),
                 min_size=dim, max_size=dim))
             bad = bad or bad_category or any(b for _, b in feature)
             dets.append(Detection(category=category, feature=tuple(x for x, _ in feature)))
+        pixel, bad_pixel = draw(_numbers(st.floats(0.0, 1e6)).map(lambda x: (x, False))
+                                | _integers(signed=False))
+        bad = bad or bad_pixel
         frames.append(FrameRecord(t=draw(_numbers(st.just(t))), cc=draw(unit), lc=draw(unit),
-                                  pixel_diff=draw(_numbers(st.floats(0.0, 1e6))),
-                                  detections=tuple(dets)))
+                                  pixel_diff=pixel, detections=tuple(dets)))
     return frames, bad
 
 
@@ -309,7 +351,7 @@ def test_trace_csv_reads_back_what_it_accepts(case, tmp_path_factory):
     frames, bad = case
     path = tmp_path_factory.mktemp("csv") / "trace.csv"
     if bad:
-        with pytest.raises(ValueError, match=r"record \d+: (category|feature) "):
+        with pytest.raises(ValueError, match=r"record \d+: (category|feature|pixel_diff) "):
             write_trace_csv(path, frames)
         assert not path.exists()
     else:

@@ -274,6 +274,22 @@ def test_gen_trace_draws_features_on_first_read(monkeypatch):
     assert purposes.count(2) == 1
 
 
+@pytest.mark.parametrize("kinds, mixes", [
+    ((), False),
+    ((DriftType.SUDDEN, DriftType.INCREMENTAL), False),
+    ((DriftType.INCREMENTAL, DriftType.GRADUAL), True),
+])
+def test_gen_trace_draws_the_mixture_only_for_a_gradual_drift(monkeypatch, kinds, mixes):
+    purposes = _count_streams(monkeypatch)
+    spec = MobileEndSpec(end_id="e", arch=tiny_arch(), drift_events=tuple(
+        DriftInjection(t=40.0 + 60.0 * k, drift_type=kind, magnitude=0.4,
+                       transition_s=20.0, recovery_s=20.0)
+        for k, kind in enumerate(kinds)))
+    got = gen_trace(spec, seed=5, end_index=2, duration=200.0)
+    assert (1 in purposes) is mixes and purposes.count(0) == 1
+    assert list(got) == reference_gen_trace(spec, 5, 2, 200.0)
+
+
 def test_sudden_only_run_builds_no_records_and_draws_no_features(monkeypatch):
     from test_acceptance import bench_scenario
     purposes = _count_streams(monkeypatch)
