@@ -18,6 +18,7 @@ from enum import Enum
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import check_numbers
 
@@ -62,16 +63,21 @@ class FrameTrace(abc.Sequence):
     ``t``, ``cc``, ``lc`` and ``pixel_diff`` hold one value per frame, and
     ``features[i, k]`` the feature vector of frame ``i``'s ``k``-th detection,
     whose category is ``categories[k]``.  ``features`` may be given as a
-    function of no arguments that returns that array: it is called on the
-    first read of ``features``, so a trace whose features are never read
-    never computes them; ``clc_sum`` too is computed on its first read.  The
-    checks :class:`FrameRecord` makes, and strictly increasing times, are
-    made once for the whole trace.  Indexing, slicing and iteration give
-    :class:`FrameRecord` objects; compare ``list(trace)`` for equality by
-    value.
+    function ``features(start, stop)`` that returns rows ``start`` to
+    ``stop - 1`` of that array: a read calls it for the rows from the first
+    not drawn yet to the last the read needs, so a trace draws its features
+    only as far as it has been read, and each row once.  ``clc_sum`` is
+    computed on its first read.  The checks :class:`FrameRecord` makes,
+    strictly increasing times, one value per frame in every column and one
+    feature vector per frame and category are made once for the whole
+    trace, the last on the rows as they are drawn.  Indexing, slicing and
+    iteration give :class:`FrameRecord` objects; compare ``list(trace)`` for
+    equality by value.
     """
 
     def __init__(self, t, cc, lc, pixel_diff, features, categories: Tuple[int, ...]):
+        if any(column.shape != (len(t),) for column in (t, cc, lc, pixel_diff)):
+            raise ValueError("t, cc, lc and pixel_diff must hold one value per frame")
         # A NaN makes a column's least and greatest value NaN, so it fails
         # every comparison below.
         lo, hi = _span(t)
@@ -89,19 +95,36 @@ class FrameTrace(abc.Sequence):
         self.t, self.cc, self.lc, self.pixel_diff = t, cc, lc, pixel_diff
         self.clc = cc * lc  # what clc() gives for each frame
         self.categories = tuple(categories)
-        self._features = features
         self._clc_sum = None
         for column in (t, cc, lc, pixel_diff, self.clc):
             column.flags.writeable = False
-        if not callable(features):
-            features.flags.writeable = False
+        if callable(features):
+            self._draw, self._drawn = features, None
+        else:
+            self._draw, self._drawn = None, self._checked(features, len(t))
 
     @property
     def features(self) -> np.ndarray:
-        if callable(self._features):
-            self._features = self._features()
-            self._features.flags.writeable = False
-        return self._features
+        return self._features_to(len(self))
+
+    def _checked(self, rows: np.ndarray, count: int) -> np.ndarray:
+        """``rows``, made read-only, if they are ``count`` frames' features."""
+        if rows.ndim != 3 or rows.shape[:2] != (count, len(self.categories)):
+            raise ValueError(f"features of shape {rows.shape} for {count} frames with "
+                             f"{len(self.categories)} detections each")
+        rows.flags.writeable = False
+        return rows
+
+    def _features_to(self, stop: int) -> np.ndarray:
+        """The features of the first ``stop`` frames or more; the rows not
+        drawn yet are drawn."""
+        drawn = self._drawn
+        if drawn is None or stop > len(drawn):
+            have = 0 if drawn is None else len(drawn)
+            more = self._checked(self._draw(have, stop), stop - have)
+            self._drawn = more if drawn is None else np.concatenate((drawn, more))
+            self._drawn.flags.writeable = False
+        return self._drawn
 
     @property
     def clc_sum(self) -> np.ndarray:
@@ -117,8 +140,9 @@ class FrameTrace(abc.Sequence):
 
     def take(self, rows) -> "FrameTrace":
         """The frames at ``rows``, a slice with a positive step or strictly
-        increasing indices, as a trace that needs no checks of its own.  The
-        features are copied from this trace on their first read."""
+        increasing indices, as a trace that needs no checks of its own.  Its
+        features are copied from this trace as they are read, and this trace
+        draws its own only up to the last row read."""
         if isinstance(rows, slice):
             if rows.step is not None and rows.step <= 0:
                 raise ValueError("a slice of frames needs a positive step")
@@ -134,7 +158,12 @@ class FrameTrace(abc.Sequence):
             column.flags.writeable = False
             setattr(sub, name, column)
         sub.categories = self.categories
-        sub._features = lambda: self.features[rows]
+
+        def draw(start, stop):
+            picked = np.arange(len(self))[rows][start:stop]
+            return self._features_to(int(picked[-1]) + 1 if len(picked) else 0)[picked]
+
+        sub._draw, sub._drawn = draw, None
         sub._clc_sum = None
         return sub
 
@@ -153,10 +182,12 @@ class FrameTrace(abc.Sequence):
         return iter(self._records(slice(None)))
 
     def _records(self, rows: slice) -> List[FrameRecord]:
+        picked = np.arange(len(self))[rows]
+        features = self._features_to(int(picked.max(initial=-1)) + 1)[picked]
         records = []
         for t, cc, lc, px, feats in zip(
                 self.t[rows].tolist(), self.cc[rows].tolist(), self.lc[rows].tolist(),
-                self.pixel_diff[rows].tolist(), self.features[rows].tolist()):
+                self.pixel_diff[rows].tolist(), features.tolist()):
             dets = tuple(Detection(c, tuple(f)) for c, f in zip(self.categories, feats))
             records.append(FrameRecord(t, cc, lc, px, dets))
         return records
@@ -405,26 +436,36 @@ def _scan(trace: FrameTrace, start: int, stop: int, ref_mean: float,
     first_n, last_n = max(temp, 2), stop - t1_at
     if last_n < first_n:
         return None
-    prefix = np.add.accumulate(np.concatenate(([0.0], v[t1_at:stop])))
+    prefix = np.empty(last_n + 1)
+    prefix[0] = 0.0
+    np.add.accumulate(v[t1_at:stop], out=prefix[1:])
     means = (prefix[sub:] - prefix[:-sub]) / sub
-    # Sub-window i's mean at every n from first_n to last_n.
+    # windows[i, row]: sub-window i's mean at n = first_n + row, for every n
+    # up to last_n; the last one is means[-1].
     count = last_n - first_n + 1
-    rows = [means[a:a + count] for a in range(first_n - temp, first_n, sub)]
-    grand = sum(rows) / parts
-    variance = sum((row - grand) ** 2 for row in rows) / parts
+    windows = as_strided(means[first_n - temp:], (parts, count),
+                         (sub * means.strides[0], means.strides[0]), writeable=False)
     # These sums run in another order than the detector's, which may call a
     # compensated sum, and numpy squares by multiplying where the detector
     # calls pow: they can differ from its values by a few ulps, or by about
     # (parts * eps) ** 2 near a variance of 0, as CLC means are at most 1.
     # Frames below the margin are candidates, and the detector's own
-    # expression on Python floats decides.
+    # expression on Python floats decides.  The rows are tested in blocks,
+    # a temp window's worth and then twice as many as the last, so that the
+    # search ends soon after the first settle.
     margin = cfg.variance_threshold * (1 + 1e-9) + (2 * parts * _EPS) ** 2
-    for row in (variance < margin).nonzero()[0].tolist():
-        n = first_n + row
-        window = means[n - temp:n:sub].tolist()
-        grand_n = sum(window) / len(window)
-        if sum((m - grand_n) ** 2 for m in window) / len(window) < cfg.variance_threshold:
-            return _event(trace, start, t1_at, t1_at + n - temp, t1_at + n - 1, cfg)
+    lo, size = 0, temp
+    while lo < count:
+        block = windows[:, lo:lo + size]
+        deviation = block - np.add.reduce(block) / parts
+        deviation *= deviation
+        for row in (np.add.reduce(deviation) / parts < margin).nonzero()[0].tolist():
+            n = first_n + lo + row
+            window = means[n - temp:n:sub].tolist()
+            grand_n = sum(window) / len(window)
+            if sum((m - grand_n) ** 2 for m in window) / len(window) < cfg.variance_threshold:
+                return _event(trace, start, t1_at, t1_at + n - temp, t1_at + n - 1, cfg)
+        lo, size = lo + size, 2 * size
     return None
 
 

@@ -194,7 +194,7 @@ def _deviates(trace: FrameTrace, model: GlobalFeatureModel, eps2: float) -> np.n
     boxes: Dict[int, list] = {}
     for k, category in enumerate(categories):
         boxes.setdefault(category, []).append(k)
-    scalar = feats.ndim != 3 or feats.shape[1] != len(categories)
+    scalar = False  # a trace holds one feature vector per frame and category
     means = []
     for category, ks in boxes.items():
         centroids = model.category_centroids(category)

@@ -40,6 +40,7 @@ from .drift import (
 from .profiler import (
     MB,
     AccuracyCurve,
+    MemoryBreakdown,
     ModelArch,
     arch_from_doc,
     doc_fields,
@@ -225,8 +226,12 @@ def gen_trace(
     choosing the new one with a probability that rises over its transition.
     Each frame's cc and lc are both the square root of its CLC, and it has
     one detection of each category.  The detection features have a
-    substream of their own, drawn on the first read of ``features``: most
-    traces are never sampled by feature deviation nor written out.
+    substream of their own, drawn as far as ``features`` is read and
+    extended when a later read needs more frames: most traces are never
+    sampled by feature deviation nor written out, and a drift window ends
+    long before the trace does.  A standard normal draw of ``k`` rows gives
+    the first ``k`` rows of a longer draw, so the rows do not depend on how
+    far the reads went.
     """
     cfg = sampler_cfg or SamplerConfig()
     area = float(cfg.frame_w * cfg.frame_h)
@@ -238,7 +243,8 @@ def gen_trace(
     gradual = any(ev.drift_type is DriftType.GRADUAL for ev in spec.drift_events)
     mix = _stream(seed, end_index, 1).random(n) if gradual else None
     # normal(0, scale) draws 0 + scale * z for each standard normal z
-    noise = noise_rng.standard_normal((n, 2)) * [0.01, 0.02 * area]
+    noise = noise_rng.standard_normal((n, 2))
+    noise *= [0.01, 0.02 * area]
 
     base = spec.base_accuracy
     p_old = PIXEL_OLD_FRACTION * area
@@ -279,12 +285,20 @@ def gen_trace(
             pixel[mid:hi] = p_new
             pixel[lo:mid] = p_old
 
-    root = np.sqrt(np.minimum(1.0, np.maximum(1e-3, level + noise[:, 0])))
-    pixel = np.maximum(0.0, pixel + noise[:, 1])
+    level += noise[:, 0]
+    np.maximum(1e-3, level, out=level)
+    np.minimum(1.0, level, out=level)
+    root = np.sqrt(level, out=level)
+    pixel += noise[:, 1]
+    np.maximum(0.0, pixel, out=pixel)
+    rng = None  # the features' substream, built on their first draw
 
-    def features():
-        det_noise = _stream(seed, end_index, 2).standard_normal((n, 2, FEATURE_DIM)) * 0.03
-        return (_CENTROIDS + shift[:, None, None]) + det_noise
+    def features(start, stop):
+        nonlocal rng
+        if rng is None:
+            rng = _stream(seed, end_index, 2)
+        det_noise = rng.standard_normal((stop - start, 2, FEATURE_DIM)) * 0.03
+        return (_CENTROIDS + shift[start:stop, None, None]) + det_noise
 
     return FrameTrace(t=t, cc=root, lc=root, pixel_diff=pixel, features=features,
                       categories=(0, 1))
@@ -316,25 +330,47 @@ def _sampled_frames(trace: FrameTrace, event: DriftEvent, sampler_cfg: SamplerCo
 # confidence, say) must be applied where the run reads the trace and join the
 # key of what it changes.
 
+def _last_call(build):
+    """``build`` keeping the result of its last call only, for calls with
+    equal arguments.  A call with other arguments lets the kept result go
+    before it builds, so two results are never held at once, and a build
+    that raises keeps nothing; ``cache_clear()`` lets it go at once."""
+    kept = []  # [(args, result)] after a build that returned
+
+    @functools.wraps(build)
+    def memo(*args):
+        if not kept or kept[0][0] != args:
+            kept.clear()
+            kept.append((args, build(*args)))
+        return kept[0][1]
+
+    memo.cache_clear = kept.clear
+    return memo
+
+
 class _Start(NamedTuple):
-    """An end's policy-free start: its trace, what a fresh detector armed at
-    a given frame of it finds, and the frames the end samples for a drift's
-    window.  Runs fill ``drifts`` and ``samples`` as they arm detectors and
-    sample; a run may add entries but never changes one."""
+    """An end's policy-free start: its trace, its model's memory demand,
+    what a fresh detector armed at a given frame of the trace finds, and the
+    frames the end samples for a drift's window.  Runs fill ``drifts`` and
+    ``samples`` as they arm detectors and sample; a run may add entries but
+    never changes one."""
 
     trace: FrameTrace
+    memory: MemoryBreakdown
     # start frame -> first_drift(trace, start frame, detector)
     drifts: Dict[int, Optional[Tuple[int, DriftEvent]]]
     # (drift type, t1, t3), all that _sampled_frames reads of an event -> its result
     samples: Dict[Tuple[DriftType, float, float], int]
 
 
-@functools.lru_cache(maxsize=1)
+@_last_call
 def _starts(ends: Tuple[MobileEndSpec, ...], seed: int, duration: float,
             sampler_cfg: SamplerConfig, detector: DetectorConfig) -> Tuple[_Start, ...]:
     """Each end's :class:`_Start`; ``detector`` keys the ``drifts`` runs add."""
-    # looked up as a module global, so a wrapper of gen_trace sees each build
-    return tuple(_Start(gen_trace(spec, seed, i, duration, sampler_cfg), {}, {})
+    # looked up as module globals, so a wrapper of gen_trace or memory_demand
+    # sees each call
+    return tuple(_Start(gen_trace(spec, seed, i, duration, sampler_cfg),
+                        memory_demand(spec.arch), {}, {})
                  for i, spec in enumerate(ends))
 
 
@@ -466,8 +502,6 @@ class _EndState:
     start: _Start  # policy-free: see _Start
     accuracy: _AccuracyModel
     cycle_start: float = 0.0
-    mem_demand_mb: float = 0.0
-    param_bytes: float = 0.0
 
 
 @dataclass
@@ -506,13 +540,7 @@ class _Sim:
         starts = _starts(scenario.ends, scenario.seed, scenario.duration,
                          scenario.sampler, scenario.detector)
         for i, (spec, start) in enumerate(zip(scenario.ends, starts)):
-            memory = memory_demand(spec.arch)
-            end = _EndState(
-                spec=spec, index=i, start=start,
-                accuracy=_AccuracyModel(spec),
-                mem_demand_mb=memory.total_mb,
-                param_bytes=memory.m_p,
-            )
+            end = _EndState(spec=spec, index=i, start=start, accuracy=_AccuracyModel(spec))
             self.ends.append(end)
             self._arm(0.0, end)
 
@@ -584,7 +612,7 @@ class _Sim:
             end_id=end.spec.end_id,
             arrival_t=t + t_upload,
             urgency=lam,
-            mem_demand=end.mem_demand_mb,
+            mem_demand=end.start.memory.total_mb,
             predicted_t_r=work / self.pool.compute_capacity,
         )
         if self.boundaries:
@@ -655,7 +683,7 @@ class _Sim:
             del self.pool.running[tid]
             ts = self.tasks[tid]
             ts.t_retrain = t - ts.admit_t
-            t_download = (ts.end.param_bytes * self.sc.unfrozen_fraction
+            t_download = (ts.end.start.memory.m_p * self.sc.unfrozen_fraction
                           / (self.sc.downlink_mbps * MB))
             self._push(t + t_download, self._on_download_done, tid)
 
@@ -792,7 +820,7 @@ def scenario_from_json(doc: dict) -> Scenario:
         raise ValueError(f"invalid scenario: {exc}") from exc
 
 
-@functools.lru_cache(maxsize=1)
+@_last_call
 def _scenario_in(text: str) -> Scenario:
     """The scenario JSON ``text`` holds.  A scenario is frozen and callers
     apply a policy or seed of their own with ``replace``, so the last text

@@ -390,23 +390,26 @@ class TestFrameTrace:
         eager = np.arange(24.0).reshape(4, 3, 2)
         calls = []
 
-        def draw():
-            calls.append(1)
-            return eager.copy()
+        def draw(start, stop):
+            calls.append((start, stop))
+            return eager[start:stop].copy()
 
         cols = dict(t=np.array([1.0, 2.0, 4.0, 8.0]), cc=np.full(4, 0.5), lc=np.full(4, 0.6),
                     pixel_diff=np.arange(4.0), categories=(0, 1, 1))
         lazy = FrameTrace(features=draw, **cols)
-        window = lazy.take(slice(1, 4))
+        window = lazy.take(slice(0, 3))
         picks = window.take([0, 2])
-        assert len(lazy) == 4 and list(picks.t) == [2.0, 8.0] and not calls
-        # reading the features of a part reads them once for the whole trace
-        assert list(picks) == list(FrameTrace(features=eager, **cols))[1:4:2]
-        assert len(calls) == 1
+        assert len(lazy) == 4 and list(picks.t) == [1.0, 4.0] and not calls
+        # reading the features of a part draws the trace's up to the part's last frame
+        assert list(picks) == list(FrameTrace(features=eager, **cols))[0:3:2]
+        assert calls == [(0, 3)]
+        assert window.features.tobytes() == eager[:3].tobytes() and calls == [(0, 3)]
+        # a later read draws only the frames not drawn yet
         features = lazy.features
+        assert calls == [(0, 3), (3, 4)] and features.tobytes() == eager.tobytes()
         assert lazy.features is features and not features.flags.writeable
         assert lazy[1:3] == list(FrameTrace(features=eager.copy(), **cols))[1:3]
-        assert len(calls) == 1
+        assert len(calls) == 2
         with pytest.raises(AttributeError):
             lazy.features = eager
 
@@ -420,8 +423,8 @@ class TestFrameTrace:
                     lc=rng.uniform(0.0, 1.0, 10), pixel_diff=rng.uniform(0.0, 9.0, 10))
         features = rng.normal(size=(10, 2, 3))
         drawn = []
-        lazy = FrameTrace(features=lambda: drawn.append(1) or features, categories=(4, 5),
-                          **cols).take(rows)
+        lazy = FrameTrace(features=lambda start, stop: drawn.append((start, stop))
+                          or features[start:stop], categories=(4, 5), **cols).take(rows)
         eager = FrameTrace(features=features[rows], categories=(4, 5),
                            **{k: v[rows] for k, v in cols.items()})
         assert len(lazy) == len(eager)
@@ -431,7 +434,10 @@ class TestFrameTrace:
             assert not column.flags.writeable and getattr(lazy, name) is column
         assert not drawn and lazy.categories == eager.categories
         assert [repr(f) for f in lazy] == [repr(f) for f in eager]
-        assert drawn == [1] and lazy.features.tobytes() == eager.features.tobytes()
+        # drawn once, up to the last row taken
+        last = int(np.arange(10)[rows].max(initial=-1)) + 1
+        assert drawn == [(0, last)] and lazy.features.tobytes() == eager.features.tobytes()
+        assert drawn == [(0, last)]
 
     def test_take_out_of_range(self):
         trace = columnar([1.0, 2.0, 3.0], [0.5] * 3, [0.5] * 3, [1.0] * 3)
@@ -456,6 +462,31 @@ class TestFrameTrace:
         cols[column][1] = value
         with pytest.raises(ValueError, match=message):
             columnar(cols["t"], cols["cc"], cols["lc"], cols["pixel"])
+
+    @pytest.mark.parametrize("lengths", [
+        dict(t=3, cc=2, lc=2, pixel_diff=4, features=5),
+        dict(cc=2), dict(lc=4), dict(pixel_diff=2), dict(features=2), dict(features=4),
+    ])
+    def test_columns_of_other_lengths_rejected(self, lengths):
+        n = {"t": 3, "cc": 3, "lc": 3, "pixel_diff": 3, "features": 3, **lengths}
+        cols = {name: np.arange(1.0, n[name] + 1) / 8 for name in ("t", "cc", "lc", "pixel_diff")}
+        with pytest.raises(ValueError, match="one value per frame|features of shape"):
+            FrameTrace(features=np.zeros((n["features"], 1, 2)), categories=(0,), **cols)
+
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (3, 0, 2), (3, 1), (3,)])
+    def test_features_of_other_detection_counts_rejected(self, shape):
+        """One feature vector per frame and category, eager or as drawn."""
+        cols = dict(t=np.array([1.0, 2.0, 3.0]), cc=np.full(3, 0.5), lc=np.full(3, 0.5),
+                    pixel_diff=np.zeros(3), categories=(0,))
+        with pytest.raises(ValueError, match=r"features of shape"):
+            FrameTrace(features=np.zeros(shape), **cols)
+        lazy = FrameTrace(features=lambda start, stop: np.zeros(shape)[start:stop], **cols)
+        for read in (lambda: lazy.features, lambda: lazy[0], lambda: list(lazy.take([1]))):
+            with pytest.raises(ValueError, match=r"features of shape"):
+                read()
+        short = FrameTrace(features=lambda start, stop: np.zeros((1, 1, 2)), **cols)
+        with pytest.raises(ValueError, match=r"features of shape \(1, 1, 2\) for 3 frames"):
+            short.features
 
     @pytest.mark.parametrize("field, value", [
         ("t", math.nan), ("t", math.inf), ("pixel_diff", math.nan),
@@ -532,18 +563,20 @@ def _scan_case(draw):
     """A trace whose CLC level takes turns between high and low, in steps or
     ramps, with or without noise, a start frame, and a detector config with
     windows from 2 to 90 frames; some traces are shorter than two windows,
-    and some hold the level for a quiet lead of up to 20 * (window + temp)
+    some hold the level for a quiet lead of up to 20 * (window + temp)
     frames first, so that events lie beyond the scan's first and second
-    spans."""
+    spans, and some take turns up to ten windows long, so that a temp window
+    settles beyond the settle search's first and second blocks."""
     window = draw(st.integers(2, 90))
-    parts = draw(st.sampled_from([1, 3, 12]))
+    parts = draw(st.sampled_from([1, 3, 12, 30]))
     temp = parts * draw(st.integers(1, 90 // parts))
+    span = draw(st.sampled_from([3, 10]))  # the longest turn, in windows
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lead = 0
     if rng.random() < 0.2:
         n = int(rng.integers(1, 2 * window))
     else:
-        n = int(rng.integers(2 * window + temp, 6 * (window + temp)))
+        n = int(rng.integers(2 * window + temp, 2 * span * (window + temp)))
         if draw(st.booleans()):
             lead = draw(st.integers(0, 20 * (window + temp)))
     n += lead
@@ -551,7 +584,7 @@ def _scan_case(draw):
     level[:lead], pixel[:lead] = 0.9, 2500.0
     i, prev, high = lead, 0.9, True
     while i < n:
-        length = int(rng.integers(max(window, temp) // 2 + 1, 3 * max(window, temp)))
+        length = int(rng.integers(max(window, temp) // 2 + 1, span * max(window, temp)))
         new = rng.uniform(0.6, 0.95) if high else rng.uniform(0.1, 0.5)
         ramp = np.linspace(prev, new, length) if rng.random() < 0.4 else np.full(length, new)
         level[i:i + length] = ramp[:n - i]

@@ -326,7 +326,7 @@ def _window_case(draw):
     model = GlobalFeatureModel(centroids=centroids)
     if draw(st.booleans()):
         eager = features
-        features = lambda: eager  # noqa: E731  (a lazy trace)
+        features = lambda start, stop: eager[start:stop]  # noqa: E731  (a lazy trace)
     trace = FrameTrace(t=t, cc=np.full(len(t), 0.8), lc=np.full(len(t), 0.9),
                        pixel_diff=pixel, features=features, categories=categories)
     return trace.take(slice(lo, hi)), cfg, model

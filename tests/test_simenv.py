@@ -262,16 +262,67 @@ def _count_streams(monkeypatch):
     return purposes
 
 
+class _CountedRows:
+    """A generator that records the rows of each standard normal draw."""
+
+    def __init__(self, rng, rows):
+        self._rng, self._rows = rng, rows
+
+    def standard_normal(self, size):
+        self._rows.append(size[0])
+        return self._rng.standard_normal(size)
+
+
+def _count_feature_rows(monkeypatch):
+    """Record the purpose of every substream ``simenv`` draws from, and the
+    rows of every draw from a features' substream."""
+    purposes, rows = [], []
+
+    def counted(seed, end_index, purpose):
+        purposes.append(purpose)
+        rng = _stream(seed, end_index, purpose)
+        return _CountedRows(rng, rows) if purpose == 2 else rng
+
+    monkeypatch.setattr(simenv, "_stream", counted)
+    return purposes, rows
+
+
 def test_gen_trace_draws_features_on_first_read(monkeypatch):
-    purposes = _count_streams(monkeypatch)
+    purposes, rows = _count_feature_rows(monkeypatch)
     spec = sudden_end(t=50.0)
     trace = gen_trace(spec, seed=3, end_index=1, duration=120.0)
     window = trace.take(slice(40, 80))
     assert len(window) == 40 and 2 not in purposes
     want = reference_gen_trace(spec, 3, 1, 120.0)
     assert list(window) == want[40:80]
+    assert purposes.count(2) == 1 and sum(rows) == 80
     assert list(trace) == want and trace[5:9] == want[5:9]
-    assert purposes.count(2) == 1
+    assert purposes.count(2) == 1 and sum(rows) == 120
+
+
+GRADUAL_DETECTOR = DetectorConfig(window_frames=60, sub_windows=12, temp_window_frames=120,
+                                  rod_threshold=0.05, variance_threshold=2e-4, tau=90.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gradual_window_draws_features_to_its_last_row(monkeypatch, seed):
+    """Sampling a gradual drift's window draws the trace's features up to
+    the window's last frame, as the same rows of a draw of the whole trace;
+    a later read of the whole trace goes on with the same substream."""
+    purposes, rows = _count_feature_rows(monkeypatch)
+    spec = MobileEndSpec(end_id="g", arch=tiny_arch(), drift_events=(DriftInjection(
+        t=300.0, drift_type=DriftType.GRADUAL, magnitude=0.5, transition_s=160.0,
+        recovery_s=450.0),))
+    trace = gen_trace(spec, seed, 0, 1500.0)
+    _, event = first_drift(trace, 0, GRADUAL_DETECTOR)
+    assert event.drift_type is DriftType.GRADUAL
+    lo, hi = np.searchsorted(trace.t, (event.t1, event.t3), side="right")
+    assert simenv._sampled_frames(trace, event, SamplerConfig()) > 1
+    assert purposes.count(2) == 1 and 0 < sum(rows) <= hi < len(trace)
+    want = reference_gen_trace(spec, seed, 0, 1500.0)
+    assert trace[lo - 1:hi] == want[lo - 1:hi] and sum(rows) <= hi
+    assert list(trace) == want
+    assert purposes.count(2) == 1 and sum(rows) == len(trace)
 
 
 @pytest.mark.parametrize("kinds, mixes", [
@@ -780,6 +831,28 @@ def test_memo_keeps_only_the_scenario_in_use(monkeypatch):
     run(replace(sc, seed=sc.seed + 1))
     gc.collect()
     assert [ref() for ref in built[:len(sc.ends)]] == [None] * len(sc.ends)
+
+
+def test_memo_lets_the_last_scenario_go_before_it_builds_the_next(monkeypatch):
+    """When a scenario's first trace is built, no trace of the scenario
+    before it is held any more."""
+    from test_golden import mixed_drift_scenario
+    sc = mixed_drift_scenario()
+    built, alive = [], []
+
+    def kept(*args):
+        alive.append(sum(ref() is not None for ref in built))
+        trace = gen_trace(*args)
+        built.append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(simenv, "gen_trace", kept)
+    simenv._starts.cache_clear()
+    run(sc)
+    n = len(sc.ends)
+    assert alive == list(range(n))
+    run(replace(sc, seed=sc.seed + 1))
+    assert alive[n:] == list(range(n))
 
 
 def _quiet_ends(n, frames):
