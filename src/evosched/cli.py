@@ -100,26 +100,23 @@ def cmd_profile_memory(args) -> int:
 
 
 def cmd_schedule(args) -> int:
-    from .profiler import fields_doc, read_json
-    from .scheduler import EvolutionTask, select_tasks
+    from .profiler import fields_doc, from_doc, json_doc, parse_file
+    from .scheduler import EvolutionTask, TaskRecord, select_tasks
     if args.capacity <= 0:
         raise ValueError("capacity must be positive MB")
-    doc = read_json(args.tasks)
+    doc = parse_file(args.tasks, json_doc)
     if not isinstance(doc, list):
         raise ValueError(f"{args.tasks}: expected a JSON list of task records")
-    tasks = []
+    tasks = {}
     for i, rec in enumerate(doc):
         try:
-            if not isinstance(rec, dict):
-                raise ValueError("not a JSON object")
-            rec = {"end_id": rec.get("id"), "arrival_t": 0.0, "urgency": 50.0, **rec}
-            if not isinstance(rec["id"], str) or not isinstance(rec["end_id"], str):
-                raise ValueError("id and end_id must be strings")
-            tasks.append(EvolutionTask(**{k: rec[k] for k in (
-                "id", "end_id", "arrival_t", "urgency", "mem_demand", "predicted_t_r")}))
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"{args.tasks}: bad task record {i} {doc[i]!r}: {exc}") from exc
-    doc = fields_doc(select_tasks(tasks, args.capacity))
+            r = from_doc(TaskRecord, rec)
+            task = EvolutionTask(**{**vars(r), "end_id": r.id if r.end_id is None else r.end_id})
+        except ValueError as exc:
+            raise ValueError(f"{args.tasks}: bad task record {i} {rec!r}: {exc}") from exc
+        if tasks.setdefault(task.id, task) is not task:
+            raise ValueError(f"{args.tasks}: task id {task.id!r} of record {i} is repeated")
+    doc = fields_doc(select_tasks(list(tasks.values()), args.capacity))
     del doc["decision_t"]  # the command takes no decision time
     print(json.dumps(doc, sort_keys=True))
     return EXIT_OK
@@ -175,8 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """``build_parser()``, built on the first call only: every ``parse_args``
-    returns a namespace of its own, so the calls share no state."""
+    """``build_parser()``, built once: each ``parse_args`` call returns a namespace of its own."""
     return build_parser()
 
 

@@ -8,11 +8,13 @@ a three-hidden-layer feed-forward network over five scalar job features.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
+import sys
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -143,7 +145,7 @@ def memory_demand(arch: ModelArch) -> MemoryBreakdown:
     return MemoryBreakdown(m_p=m_p, m_f=m_f, m_g=m_f, m_opt=2.0 * m_p, m_ws=DEFAULT_WORKSPACE_BYTES)
 
 
-# --- architecture descriptor file (JSON) ------------------------------------
+# --- JSON documents -----------------------------------------------------------
 
 # Fields a JSON document stores under another key; the rest go under their names.
 JSON_KEYS = {"gain_curve_truth": "gain_curve", "drift_type": "type"}
@@ -160,47 +162,59 @@ def fields_doc(value):
     return value.value if isinstance(value, Enum) else value
 
 
-def doc_fields(doc: dict, cls, **convert: Callable) -> dict:
-    """Keyword arguments for the fields of ``cls`` whose keys ``doc`` has,
-    each through ``convert``'s function for the field where it names one; a
-    field ``doc`` lacks is left out, so the dataclass default applies, or
-    raises KeyError naming its key if it has no default."""
+def from_doc(cls, doc):
+    """Inverse of ``fields_doc``: dataclass ``cls`` from a JSON object of its
+    keys, numbers left to ``check_numbers``.  An unknown key, a missing
+    required one or a value of the wrong JSON kind raises ValueError naming the class and key."""
+    _checked(doc, dict, cls.__name__)
     kwargs = {}
+    for name, key, read, required in _field_readers(cls):
+        if key in doc:
+            kwargs[name] = doc[key] if read is None else read(doc[key])
+        elif required:
+            raise ValueError(f"{cls.__name__}: missing key {key!r}")
+    if len(kwargs) < len(doc):
+        unknown = next(key for key in doc if key not in [spec[1] for spec in _field_readers(cls)])
+        raise ValueError(f"{cls.__name__}: unknown key {unknown!r}")
+    return cls(**kwargs)
+
+
+@functools.cache
+def _field_readers(cls) -> tuple:
+    """``(name, key, reader or None for a number, required)`` per field of ``cls``."""
+    names, specs = vars(sys.modules[cls.__module__]), []
     for f in fields(cls):
         key = JSON_KEYS.get(f.name, f.name)
-        if key in doc:
-            kwargs[f.name] = convert[f.name](doc[key]) if f.name in convert else doc[key]
-        elif f.default is MISSING:
-            raise KeyError(key)
-    return kwargs
+        specs.append((f.name, key, _value_reader(f.type, names, f"{cls.__name__}.{key}"),
+                      f.default is MISSING))
+    return tuple(specs)
 
 
-def arch_to_doc(arch: ModelArch) -> dict:
-    """JSON document of an architecture, as arch files and scenarios hold it:
-    its fields with ``layers`` last, each layer's fields with ``kind`` first."""
-    doc = fields_doc(arch)
-    doc["layers"] = doc.pop("layers")
-    return doc
+def _value_reader(annotation: str, names: dict, where: str):
+    """The reader of field ``where``, annotated by a string naming a type in
+    ``names``; None for a number.  ``Optional[str]`` reads a string, not null."""
+    if annotation in ("int", "float"):
+        return None
+    if annotation in ("str", "Optional[str]"):
+        return lambda value: _checked(value, str, where)
+    if annotation.startswith("Tuple["):  # Tuple[X, ...]
+        read_item = _value_reader(annotation[len("Tuple["):-len(", ...]")], names, where)
+        return lambda value: tuple(map(read_item, _checked(value, list, where)))
+    cls = names[annotation]
+    return functools.partial(from_doc, cls) if is_dataclass(cls) else cls  # an enum reads its value
 
 
-def arch_from_doc(doc: dict) -> ModelArch:
-    """Inverse of ``arch_to_doc``: absent optional fields left to their
-    defaults, unknown keys ignored; an integral float is stored as an int.
-    Raises KeyError, TypeError or ValueError on a malformed document, a
-    ValueError naming the field for a fractional or non-finite number."""
-    return ModelArch(**doc_fields(doc, ModelArch, layers=lambda layers: tuple(
-        LayerSpec(**doc_fields(rec, LayerSpec, kind=LayerKind)) for rec in layers)))
-
-
-def write_arch_json(path, arch: ModelArch) -> None:
-    with open(path, "w") as fh:
-        json.dump(arch_to_doc(arch), fh, indent=2)
-        fh.write("\n")
+def _checked(value, kind: type, where: str):
+    """``value`` if it is of JSON kind ``kind``, else ValueError naming ``where``."""
+    if not isinstance(value, kind):
+        kinds = {dict: "object", list: "list", str: "string", bool: "boolean", type(None): "null"}
+        raise ValueError(f"{where}: expected a JSON {kinds[kind]}, "
+                         f"got {kinds.get(type(value), 'number')}")
+    return value
 
 
 def json_doc(text: str):
-    """The JSON document ``text`` holds; invalid JSON raises ValueError
-    naming the line."""
+    """The JSON document ``text`` holds; ValueError naming the line if invalid."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -218,18 +232,28 @@ def parse_file(path, parse):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def read_json(path):
-    """The JSON document in file ``path``; invalid JSON raises ValueError
-    naming the file and the line."""
-    return parse_file(path, json_doc)
+def write_json(path, doc, sort_keys: bool) -> None:
+    """``doc`` to file ``path`` as JSON, indented by two and ending in a newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
+
+
+def arch_to_doc(arch: ModelArch) -> dict:
+    """JSON document of an architecture, as arch files and scenarios hold it:
+    its fields with ``layers`` last, each layer's fields with ``kind`` first;
+    ``from_doc(ModelArch, doc)`` reads it back."""
+    doc = fields_doc(arch)
+    doc["layers"] = doc.pop("layers")
+    return doc
+
+
+def write_arch_json(path, arch: ModelArch) -> None:
+    write_json(path, arch_to_doc(arch), sort_keys=False)
 
 
 def read_arch_json(path) -> ModelArch:
-    doc = read_json(path)
-    try:
-        return arch_from_doc(doc)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ValueError(f"{path}: bad architecture descriptor: {exc}") from exc
+    return parse_file(path, lambda text: from_doc(ModelArch, json_doc(text)))
 
 
 # --- accuracy-gain curve ----------------------------------------------------
@@ -259,8 +283,7 @@ def fit_accuracy_curve(probes: Sequence[Tuple[float, float]]) -> AccuracyCurve:
     probes, with b, c constrained non-negative.
 
     Nested bounded scalar searches: the outer search runs over b, the inner
-    over c; a_max has a closed form (mean residual offset) at each step.
-    """
+    over c; a_max has a closed form (mean residual offset) at each step."""
     from scipy.optimize import minimize_scalar  # scipy is slow to import; only fitting needs it
 
     if len(probes) < 3:
@@ -338,10 +361,7 @@ class TimeRegressor:
     """Feed-forward retraining-time regressor (5 -> 16 -> 16 -> 16 -> 1).
 
     Inputs are log-transformed then standardized with stored statistics; the
-    target is modelled in log space so predictions are always positive.  All
-    five features (parameter size, data count, unfrozen layers, epochs, batch
-    size) are strictly positive counts or sizes.
-    """
+    target is modelled in log space so predictions are always positive."""
 
     def __init__(self, weights: List[np.ndarray], biases: List[np.ndarray],
                  x_mean: np.ndarray, x_std: np.ndarray):
@@ -371,8 +391,7 @@ def train_time_regressor(
     """Full-batch Adam training on log-seconds targets.
 
     Deterministic for a given (samples, seed): identical inputs give
-    bit-identical weights.
-    """
+    bit-identical weights."""
     from scipy.special import expit  # scipy is slow to import; only training needs it
 
     if len(samples) < 50:

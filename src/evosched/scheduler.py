@@ -40,6 +40,17 @@ class EvolutionTask:
             raise ValueError("urgency must be in (0, 100)")
 
 
+@dataclass
+class TaskRecord:
+    """A task as a ``schedule`` task list gives it: an :class:`EvolutionTask` with no group."""
+    id: str
+    mem_demand: float        # MB
+    predicted_t_r: float     # seconds
+    end_id: Optional[str] = None  # the task's own id when absent
+    arrival_t: float = 0.0
+    urgency: float = 50.0
+
+
 @dataclass(frozen=True)
 class GroupingConfig:
     n_max: int = 12             # expected concurrent requests N

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import functools
 import heapq
-import json
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -42,12 +41,12 @@ from .profiler import (
     AccuracyCurve,
     MemoryBreakdown,
     ModelArch,
-    arch_from_doc,
-    doc_fields,
     fields_doc,
+    from_doc,
     json_doc,
     memory_demand,
     parse_file,
+    write_json,
 )
 from .sampler import (
     GlobalFeatureModel,
@@ -224,15 +223,11 @@ def gen_trace(
     pixel levels follow the last active event, and detections shift by the
     magnitude of the first one.  A gradual drift mixes old and new regimes,
     choosing the new one with a probability that rises over its transition.
-    Each frame's cc and lc are both the square root of its CLC, and it has
-    one detection of each category.  The detection features have a
-    substream of their own, drawn as far as ``features`` is read and
-    extended when a later read needs more frames: most traces are never
-    sampled by feature deviation nor written out, and a drift window ends
-    long before the trace does.  A standard normal draw of ``k`` rows gives
-    the first ``k`` rows of a longer draw, so the rows do not depend on how
-    far the reads went.
-    """
+    Each frame's cc and lc are both the square root of its CLC.  The
+    detection features' own substream is drawn only as far as ``features``
+    is read, since most traces are never sampled by feature deviation nor
+    written out; a draw of ``k`` standard normal rows is the first ``k``
+    rows of a longer one, so the rows do not depend on how far reads went."""
     cfg = sampler_cfg or SamplerConfig()
     area = float(cfg.frame_w * cfg.frame_h)
     noise_rng = _stream(seed, end_index, 0)
@@ -349,11 +344,9 @@ def _last_call(build):
 
 
 class _Start(NamedTuple):
-    """An end's policy-free start: its trace, its model's memory demand,
-    what a fresh detector armed at a given frame of the trace finds, and the
-    frames the end samples for a drift's window.  Runs fill ``drifts`` and
-    ``samples`` as they arm detectors and sample; a run may add entries but
-    never changes one."""
+    """An end's policy-free start: its trace, its model's memory demand, and
+    what runs found as they armed detectors and sampled, to which a run may
+    add entries but never changes one."""
 
     trace: FrameTrace
     memory: MemoryBreakdown
@@ -442,8 +435,7 @@ class _AccuracyModel:
 
     Decays at the end's rate during declared drift transitions, holds
     otherwise, and jumps up at each model download.  Evaluation is anchored at
-    the most recent restoration point so simulated downloads simply reset it.
-    """
+    the most recent restoration point so simulated downloads simply reset it."""
 
     def __init__(self, spec: MobileEndSpec):
         self._decays = [(ev.t, ev.t + ev.transition_s, spec.decay)
@@ -744,8 +736,7 @@ def admit(
     memory fits, stopping at the first task that does not (head-of-line
     rule); every running and admitted task gets an equal share.  Serial
     policies: one task at a time with all compute, FIFO or highest urgency
-    first.
-    """
+    first."""
     free_mem = pool.free_memory_at(now)
     if policy is Policy.DEFAULT_GPU:
         ids = list(pool.running)
@@ -795,14 +786,6 @@ def scenario_to_json(scenario: Scenario) -> dict:
     return {**fields_doc(scenario), "schema_version": SCHEMA_VERSION}
 
 
-def _end_from_doc(e: dict) -> MobileEndSpec:
-    return MobileEndSpec(**doc_fields(
-        e, MobileEndSpec, arch=arch_from_doc, gain_curve_truth=lambda d: AccuracyCurve(**d),
-        drift_events=lambda events: tuple(
-            DriftInjection(**doc_fields(ev, DriftInjection, drift_type=DriftType))
-            for ev in events)))
-
-
 def scenario_from_json(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ValueError(f"invalid scenario: expected a JSON object, not {type(doc).__name__}")
@@ -811,35 +794,27 @@ def scenario_from_json(doc: dict) -> Scenario:
         raise ValueError(f"unsupported schema_version {version!r} "
                          f"(expected {SCHEMA_VERSION})")
     try:
-        return Scenario(**doc_fields(
-            doc, Scenario, ends=lambda ends: tuple(map(_end_from_doc, ends)),
-            server=lambda d: ServerSpec(**d), grouping=lambda d: GroupingConfig(**d),
-            sampler=lambda d: SamplerConfig(**d), detector=lambda d: DetectorConfig(**d),
-            policy=Policy))
-    except (KeyError, TypeError, ValueError) as exc:
+        return from_doc(Scenario, {k: v for k, v in doc.items() if k != "schema_version"})
+    except ValueError as exc:
         raise ValueError(f"invalid scenario: {exc}") from exc
 
 
 @_last_call
 def _scenario_in(text: str) -> Scenario:
-    """The scenario JSON ``text`` holds.  A scenario is frozen and callers
-    apply a policy or seed of their own with ``replace``, so the last text
-    parsed keeps its scenario until another text is parsed; a text that
-    fails raises and is not kept."""
+    """The scenario JSON ``text`` holds, kept until another text is parsed:
+    a scenario is frozen, and callers apply a policy or seed of their own
+    with ``replace``."""
     # looked up as a module global, so a wrapper sees each parse
     return scenario_from_json(json_doc(text))
 
 
 def load_scenario(path) -> Scenario:
-    """The scenario in file ``path``; ValueError naming the file if it is
-    not one."""
+    """The scenario in file ``path``; ValueError naming the file if not one."""
     return parse_file(path, _scenario_in)
 
 
 def save_scenario(path, scenario: Scenario) -> None:
-    with open(path, "w") as fh:
-        json.dump(scenario_to_json(scenario), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, scenario_to_json(scenario), sort_keys=True)
 
 
 # --- metrics output ---------------------------------------------------------
@@ -868,9 +843,7 @@ def write_summary_json(path, metrics: SimMetrics, scenario: Scenario) -> None:
         if record is not None:
             doc.update((f.name, getattr(record, f.name))
                        for f in fields(record) if f.type == "float")
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc, sort_keys=True)
 
 
 def write_traces(out_dir, scenario: Scenario) -> List[str]:

@@ -149,6 +149,73 @@ class TestSimulate:
         assert "event heap corrupted" in err
 
 
+def _edit(path, section, field, value):
+    """Set ``field`` to ``value`` in the JSON file ``path``, in the object
+    ``section`` names: a dotted path of keys and list indices, None for the top."""
+    doc = json.loads(path.read_text())
+    target = doc
+    for key in section.split(".") if section else ():
+        target = target[int(key)] if key.isdigit() else target[key]
+    target[field] = value
+    path.write_text(json.dumps(doc))
+
+
+class TestScenarioShape:
+    """Every section of a scenario reads by the fields of its dataclass."""
+
+    @pytest.mark.parametrize("section, key, cls", [
+        (None, "lookahed_factor", "Scenario"), ("server", "gpu_cont", "ServerSpec"),
+        ("grouping", "sigmaa", "GroupingConfig"), ("sampler", "r00", "SamplerConfig"),
+        ("detector", "tauu", "DetectorConfig"), ("ends.0", "decy", "MobileEndSpec"),
+        ("ends.0.drift_events.0", "recovry_s", "DriftInjection"),
+        ("ends.1.gain_curve", "a_maxx", "AccuracyCurve"),
+        ("ends.0.arch", "bitwidht", "ModelArch"),
+        ("ends.1.arch.layers.0", "stride", "LayerSpec"),
+    ])
+    def test_unknown_key_is_input_error(self, scenario_path, tmp_path, capsys,
+                                        section, key, cls):
+        _edit(scenario_path, section, key, 0.5)
+        rc = main(["simulate", "--scenario", str(scenario_path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_INPUT
+        assert f"invalid scenario: {cls}: unknown key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("value, kind", [(7, "number"), (None, "null")])
+    def test_end_id_must_be_a_string(self, scenario_path, tmp_path, capsys, value, kind):
+        _edit(scenario_path, "ends.1", "end_id", value)
+        rc = main(["gen-traces", "--scenario", str(scenario_path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_INPUT
+        assert (f"invalid scenario: MobileEndSpec.end_id: expected a JSON string, got {kind}"
+                in capsys.readouterr().err)
+        assert not os.listdir(tmp_path / "o")
+
+    @pytest.mark.parametrize("section, field, value, message", [
+        (None, "ends", {"end-a": {}}, "Scenario.ends: expected a JSON list, got object"),
+        ("ends.0.arch", "layers", "ab", "ModelArch.layers: expected a JSON list, got string"),
+        (None, "server", [1], "ServerSpec: expected a JSON object, got list"),
+        ("ends.0.drift_events", 0, "sudden", "DriftInjection: expected a JSON object, got string"),
+    ])
+    def test_wrong_kind_names_section_and_kind(self, scenario_path, tmp_path, capsys,
+                                               section, field, value, message):
+        _edit(scenario_path, section, field, value)
+        rc = main(["simulate", "--scenario", str(scenario_path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_INPUT
+        assert f"invalid scenario: {message}" in capsys.readouterr().err
+
+    def test_missing_key_names_its_section(self, scenario_path, tmp_path, capsys):
+        doc = json.loads(scenario_path.read_text())
+        del doc["ends"][1]["drift_events"][0]["magnitude"]
+        scenario_path.write_text(json.dumps(doc))
+        rc = main(["simulate", "--scenario", str(scenario_path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_INPUT
+        assert ("invalid scenario: DriftInjection: missing key 'magnitude'"
+                in capsys.readouterr().err)
+
+
 def test_sweep_runs_all(scenario_path, tmp_path):
     listing = tmp_path / "sweep.txt"
     listing.write_text(f"{scenario_path}\n\n{scenario_path}\n")
@@ -364,6 +431,16 @@ def test_profile_memory_rejects_bad_numbers(tmp_path, capsys, path, value):
     assert f"{path[-1]} must" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, cls", [(None, "bitwidht", "ModelArch"),
+                                              ("layers.0", "kernel", "LayerSpec")])
+def test_profile_memory_rejects_an_unknown_key(tmp_path, capsys, section, key, cls):
+    arch = tmp_path / "arch.json"
+    write_arch_json(arch, tiny_arch())
+    _edit(arch, section, key, 8)
+    assert main(["profile-memory", "--arch", str(arch)]) == EXIT_INPUT
+    assert f"{arch}: {cls}: unknown key '{key}'" in capsys.readouterr().err
+
+
 def test_profile_memory_names_a_missing_layer_field(tmp_path, capsys):
     arch = tmp_path / "arch.json"
     write_arch_json(arch, tiny_arch())
@@ -429,6 +506,55 @@ class TestSchedule:
         path.write_text(json.dumps([{"id": "a"}]))
         rc = main(["schedule", "--tasks", str(path), "--capacity", "10"])
         assert rc == EXIT_INPUT
+
+    @pytest.mark.parametrize("key", ["urgncy", "group"])
+    def test_unknown_key_rejected(self, tmp_path, capsys, key):
+        """A record takes the keys it reads: a misspelled urgency does not
+        fall back to 50, and a task's group is the scheduler's to set."""
+        path = tmp_path / "tasks.json"
+        path.write_text(json.dumps([{"id": "a", "mem_demand": 10, "predicted_t_r": 1,
+                                     key: 90}]))
+        rc = main(["schedule", "--tasks", str(path), "--capacity", "10"])
+        assert rc == EXIT_INPUT
+        assert f"TaskRecord: unknown key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("id", 7, "number"), ("id", None, "null"), ("end_id", ["a"], "list"),
+    ])
+    def test_ids_must_be_strings(self, tmp_path, capsys, field, value, kind):
+        path = tmp_path / "tasks.json"
+        path.write_text(json.dumps([{"id": "a", "mem_demand": 10, "predicted_t_r": 1,
+                                     field: value}]))
+        rc = main(["schedule", "--tasks", str(path), "--capacity", "10"])
+        assert rc == EXIT_INPUT
+        assert f"TaskRecord.{field}: expected a JSON string, got {kind}" in capsys.readouterr().err
+
+    def test_repeated_id_rejected(self, tmp_path, capsys):
+        """Two records with one id: nothing could say which was admitted."""
+        path = tmp_path / "tasks.json"
+        path.write_text(json.dumps([{"id": "a", "mem_demand": 10, "predicted_t_r": 1},
+                                    {"id": "b", "mem_demand": 5, "predicted_t_r": 1},
+                                    {"id": "a", "mem_demand": 20, "predicted_t_r": 1}]))
+        rc = main(["schedule", "--tasks", str(path), "--capacity", "15"])
+        assert rc == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "task id 'a' of record 2 is repeated" in captured.err
+
+    def test_defaults_and_given_fields_select_as_before(self, tmp_path, capsys):
+        """``end_id``, ``arrival_t`` and ``urgency`` are optional, and a
+        record that gives them selects as the library does."""
+        records = [{"id": "a", "end_id": "e", "arrival_t": 3, "urgency": 70,
+                    "mem_demand": 10, "predicted_t_r": 4},
+                   {"id": "b", "mem_demand": 8, "predicted_t_r": 2}]
+        path = tmp_path / "tasks.json"
+        path.write_text(json.dumps(records))
+        assert main(["schedule", "--tasks", str(path), "--capacity", "12"]) == EXIT_OK
+        want = select_tasks([EvolutionTask("a", "e", 3.0, 70.0, 10.0, 4.0),
+                             EvolutionTask("b", "b", 0.0, 50.0, 8.0, 2.0)], 12.0)
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"selected": list(want.selected), "total_value": want.total_value,
+                       "capacity_used": want.capacity_used}
 
     def test_large_grid_matches_library(self, tmp_path, capsys):
         rng = np.random.default_rng(14)

@@ -18,7 +18,7 @@ from evosched.drift import (
     Detection, DetectorConfig, DriftDetector, DriftType, FrameRecord, FrameTrace, first_drift,
 )
 from evosched.profiler import (
-    MB, AccuracyCurve, LayerKind, LayerSpec, ModelArch, arch_from_doc, arch_to_doc,
+    MB, AccuracyCurve, LayerKind, LayerSpec, ModelArch, arch_to_doc, from_doc,
 )
 from evosched.sampler import SamplerConfig
 from evosched.scheduler import EvolutionTask, GpuPool, GroupingConfig, RunningEntry
@@ -1097,7 +1097,7 @@ def test_scenario_codec_round_trips_every_field(sc):
                          ("sampler", SamplerConfig), ("detector", DetectorConfig)):
         assert set(doc[section]) == _names(cls)
     for end, end_doc in zip(sc.ends, doc["ends"]):
-        assert repr(arch_from_doc(arch_to_doc(end.arch))) == repr(end.arch)
+        assert repr(from_doc(ModelArch, arch_to_doc(end.arch))) == repr(end.arch)
         assert set(end_doc) == _names(MobileEndSpec, gain_curve_truth="gain_curve")
         assert set(end_doc["gain_curve"]) == _names(AccuracyCurve)
         assert set(end_doc["arch"]) == _names(ModelArch)
