@@ -138,33 +138,18 @@ class FrameTrace(abc.Sequence):
             self._clc_sum = total
         return self._clc_sum
 
-    def take(self, rows) -> "FrameTrace":
-        """The frames at ``rows``, a slice with a positive step or strictly
-        increasing indices, as a trace that needs no checks of its own.  Its
-        features are copied from this trace as they are read, and this trace
-        draws its own only up to the last row read."""
-        if isinstance(rows, slice):
-            if rows.step is not None and rows.step <= 0:
-                raise ValueError("a slice of frames needs a positive step")
-        else:
-            rows = np.asarray(rows, dtype=np.intp)
-            if len(rows) and (rows[0] < 0 or not (np.diff(rows) > 0).all()):
-                raise ValueError("frame indices must be non-negative and increasing")
-            if len(rows) and rows[-1] >= len(self):
-                raise IndexError("frame index out of range")
+    def window(self, lo: int, hi: int) -> "FrameTrace":
+        """Frames ``lo`` to ``hi - 1``, bounded as a slice is, as a trace that
+        needs no checks of its own.  Its columns are views of this trace's,
+        and a read of its features draws this trace's only up to the last
+        row read."""
+        lo, hi, _ = slice(lo, hi).indices(len(self))
         sub = object.__new__(FrameTrace)
         for name in ("t", "cc", "lc", "pixel_diff", "clc"):
-            column = getattr(self, name)[rows]
-            column.flags.writeable = False
-            setattr(sub, name, column)
+            setattr(sub, name, getattr(self, name)[lo:hi])  # a view of a read-only column
         sub.categories = self.categories
-
-        def draw(start, stop):
-            picked = np.arange(len(self))[rows][start:stop]
-            return self._features_to(int(picked[-1]) + 1 if len(picked) else 0)[picked]
-
-        sub._draw, sub._drawn = draw, None
-        sub._clc_sum = None
+        sub._draw = lambda start, stop: self._features_to(lo + stop)[lo + start:lo + stop]
+        sub._drawn = sub._clc_sum = None
         return sub
 
     def __len__(self) -> int:

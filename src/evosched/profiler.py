@@ -165,7 +165,8 @@ def fields_doc(value):
 def from_doc(cls, doc):
     """Inverse of ``fields_doc``: dataclass ``cls`` from a JSON object of its
     keys, numbers left to ``check_numbers``.  An unknown key, a missing
-    required one or a value of the wrong JSON kind raises ValueError naming the class and key."""
+    required one or a value of the wrong JSON kind raises ValueError naming the class and key,
+    and a ValueError from ``cls`` itself is raised again naming the class."""
     _checked(doc, dict, cls.__name__)
     kwargs = {}
     for name, key, read, required in _field_readers(cls):
@@ -176,7 +177,10 @@ def from_doc(cls, doc):
     if len(kwargs) < len(doc):
         unknown = next(key for key in doc if key not in [spec[1] for spec in _field_readers(cls)])
         raise ValueError(f"{cls.__name__}: unknown key {unknown!r}")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{cls.__name__}: {exc}") from exc
 
 
 @functools.cache
@@ -192,14 +196,25 @@ def _field_readers(cls) -> tuple:
 
 def _value_reader(annotation: str, names: dict, where: str):
     """The reader of field ``where``, annotated by a string naming a type in
-    ``names``; None for a number.  ``Optional[str]`` reads a string, not null."""
+    ``names``; None for a number.  ``Optional[str]`` reads a string, not null,
+    and a tuple's reader names the index of an item it cannot read."""
     if annotation in ("int", "float"):
         return None
     if annotation in ("str", "Optional[str]"):
         return lambda value: _checked(value, str, where)
     if annotation.startswith("Tuple["):  # Tuple[X, ...]
         read_item = _value_reader(annotation[len("Tuple["):-len(", ...]")], names, where)
-        return lambda value: tuple(map(read_item, _checked(value, list, where)))
+
+        def read(value):
+            items = []
+            for i, item in enumerate(_checked(value, list, where)):
+                try:
+                    items.append(read_item(item))
+                except ValueError as exc:
+                    raise ValueError(f"{where}[{i}]: {exc}") from exc
+            return tuple(items)
+
+        return read
     cls = names[annotation]
     return functools.partial(from_doc, cls) if is_dataclass(cls) else cls  # an enum reads its value
 

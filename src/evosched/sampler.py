@@ -3,6 +3,7 @@
 Sudden drift samples at a fixed rate, incremental drift ramps the rate up over
 30-second segments, and gradual drift runs a two-stage redundancy filter
 (pixel difference, then feature deviation from global per-category centroids).
+Each sampler returns the rows of a :class:`FrameTrace` it picks, in increasing order.
 """
 from __future__ import annotations
 
@@ -69,7 +70,9 @@ def _pick_at_times(times: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return rows[:np.searchsorted(rows, len(times))]
 
 
-def _sudden_rows(times: np.ndarray, r_f: float) -> np.ndarray:
+def sample_sudden(trace: FrameTrace, r_f: float) -> np.ndarray:
+    """Uniform selection at rate ``r_f`` fps, anchored at the first frame."""
+    times = trace.t
     if not len(times):
         return np.zeros(0, dtype=np.intp)
     if not 0 < r_f < math.inf:
@@ -82,11 +85,6 @@ def _sudden_rows(times: np.ndarray, r_f: float) -> np.ndarray:
     return _pick_at_times(times, t0 + np.arange(count) / r_f)
 
 
-def sample_sudden(trace: FrameTrace, r_f: float) -> FrameTrace:
-    """Uniform selection at rate ``r_f`` fps, anchored at the first frame."""
-    return trace.take(_sudden_rows(trace.t, r_f))
-
-
 def linear_rate(t: float, t1: float, cfg: SamplerConfig) -> float:
     """Sampling rate at time ``t`` for a drift that started at ``t1``."""
     if t < t1:
@@ -95,7 +93,9 @@ def linear_rate(t: float, t1: float, cfg: SamplerConfig) -> float:
     return min(cfg.r_max, cfg.r0 + steps * cfg.delta_r)
 
 
-def _incremental_rows(times: np.ndarray, cfg: SamplerConfig) -> np.ndarray:
+def sample_incremental(trace: FrameTrace, cfg: SamplerConfig) -> np.ndarray:
+    """Piecewise-uniform selection whose rate follows the linear schedule."""
+    times = trace.t
     if not len(times):
         return np.zeros(0, dtype=np.intp)
     t1, t_end = float(times[0]), float(times[-1])
@@ -114,7 +114,7 @@ def _incremental_rows(times: np.ndarray, cfg: SamplerConfig) -> np.ndarray:
     # contribute proportionally fewer picks.
     seg_len = np.minimum(RATE_STEP_SECONDS, t_end - starts)
     n = np.round(np.array([linear_rate(s, t1, cfg) for s in starts.tolist()]) * seg_len)
-    # as in _sudden_rows, targets past a segment's frames change nothing
+    # as in sample_sudden, targets past a segment's frames change nothing
     count = np.maximum(0, np.minimum(n, hi - lo)).astype(np.intp)
     seg = np.repeat(np.arange(len(starts)), count)
     step = np.arange(len(seg)) - np.repeat(np.cumsum(count) - count, count)
@@ -127,11 +127,6 @@ def _incremental_rows(times: np.ndarray, cfg: SamplerConfig) -> np.ndarray:
     lift = seg * (len(times) + len(seg) + 1)
     rows = np.maximum.accumulate(np.searchsorted(times, targets) - index + lift) - lift + index
     return rows[rows < hi[seg]]
-
-
-def sample_incremental(trace: FrameTrace, cfg: SamplerConfig) -> FrameTrace:
-    """Piecewise-uniform selection whose rate follows the linear schedule."""
-    return trace.take(_incremental_rows(trace.t, cfg))
 
 
 def _euclidean(a: Sequence[float], b: Sequence[float]) -> float:
@@ -175,8 +170,9 @@ def feature_deviation(frame: FrameRecord, model: GlobalFeatureModel) -> float:
     return sum(category_means) / len(category_means)
 
 
-def _deviates(trace: FrameTrace, model: GlobalFeatureModel, eps2: float) -> np.ndarray:
-    """``feature_deviation(frame, model) > eps2`` for every frame of ``trace``.
+def _deviates(trace: FrameTrace, rows: np.ndarray, model: GlobalFeatureModel,
+              eps2: float) -> np.ndarray:
+    """``feature_deviation(trace[row], model) > eps2`` for every row of ``rows``.
 
     A category with one box or one centroid matches its nearest pair, so its
     mean is the least box-centroid distance: one vector pass.  These sums
@@ -187,10 +183,10 @@ def _deviates(trace: FrameTrace, model: GlobalFeatureModel, eps2: float) -> np.n
     when a category needs the greedy matching of several boxes to several
     centroids or a centroid's length differs from the feature length.
     """
-    n = len(trace)
+    n = len(rows)
     if not n:
         return np.zeros(0, dtype=bool)
-    feats, categories = trace.features, trace.categories
+    feats, categories = trace.features[rows], trace.categories
     boxes: Dict[int, list] = {}
     for k, category in enumerate(categories):
         boxes.setdefault(category, []).append(k)
@@ -213,8 +209,7 @@ def _deviates(trace: FrameTrace, model: GlobalFeatureModel, eps2: float) -> np.n
         margin = 4 * (feats.shape[2] + len(boxes) + 4) * np.finfo(float).eps * eps2
         keep = deviation > eps2
         near = ~np.isfinite(deviation) | (np.abs(deviation - eps2) <= margin)
-    rows = np.flatnonzero(near)
-    keep[rows] = [feature_deviation(f, model) > eps2 for f in trace.take(rows)]
+    keep[near] = [feature_deviation(trace[row], model) > eps2 for row in rows[near].tolist()]
     return keep
 
 
@@ -224,12 +219,11 @@ def sample_gradual(
     model: GlobalFeatureModel,
 ):
     """Two-stage filter: drop low pixel-difference frames, then keep frames
-    whose feature deviation from the global view exceeds ``eps2``.
-    ``frames`` is a :class:`FrameTrace` or a record sequence, and the picks
-    come back in the same form."""
+    whose feature deviation from the global view exceeds ``eps2``.  From a
+    record sequence the picks come back as the same record objects."""
     threshold = cfg.frame_w * cfg.frame_h * cfg.eps1
     if isinstance(frames, FrameTrace):
-        survivors = frames.take(np.flatnonzero(frames.pixel_diff >= threshold))
-        return survivors.take(np.flatnonzero(_deviates(survivors, model, cfg.eps2)))
+        rows = np.flatnonzero(frames.pixel_diff >= threshold)
+        return rows[_deviates(frames, rows, model, cfg.eps2)]
     survivors = [f for f in frames if f.pixel_diff >= threshold]
     return [f for f in survivors if feature_deviation(f, model) > cfg.eps2]

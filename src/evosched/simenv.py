@@ -188,16 +188,11 @@ PIXEL_OLD_FRACTION = 0.3
 PIXEL_NEW_FRACTION = 0.8
 
 
-def default_centroids() -> GlobalFeatureModel:
-    """Two-category feature model used by generated traces."""
-    return GlobalFeatureModel(centroids={
-        0: ((0.0, 0.0, 0.0, 0.0),),
-        1: ((1.0, 1.0, 1.0, 1.0),),
-    })
-
-
 # the server's global view, against which the gradual sampler measures deviation
-_FEATURE_MODEL = default_centroids()
+_FEATURE_MODEL = GlobalFeatureModel(centroids={
+    0: ((0.0, 0.0, 0.0, 0.0),),
+    1: ((1.0, 1.0, 1.0, 1.0),),
+})
 # the centroids of categories 0 and 1, around which generated detections lie
 _CENTROIDS = np.array([_FEATURE_MODEL.centroids[cat][0] for cat in (0, 1)])
 _CENTROIDS.flags.writeable = False
@@ -306,7 +301,7 @@ def _sampled_frames(trace: FrameTrace, event: DriftEvent, sampler_cfg: SamplerCo
     times = trace.t
     lo = int(np.searchsorted(times, event.t1, side="left"))
     hi = int(np.searchsorted(times, event.t3, side="right"))
-    window = trace.take(slice(lo, hi))
+    window = trace.window(lo, hi)
     # the samplers are looked up as module globals, so a wrapper sees each call
     if event.drift_type is DriftType.SUDDEN:
         selected = sample_sudden(window, sampler_cfg.r_f)
@@ -522,7 +517,7 @@ class _Sim:
         self._now = 0.0  # time of the event being handled
         self._task_counter = 0
         self.boundaries: List[float] = []
-        if scenario.policy in (Policy.ADAPTIVE,):
+        if scenario.policy is Policy.ADAPTIVE:
             k = group_number(scenario.grouping)
             g = scenario.grouping
             self.boundaries = group_boundaries(k, g.lambda_min, g.lambda_max, g.sigma)

@@ -178,7 +178,12 @@ class TestScenarioShape:
         rc = main(["simulate", "--scenario", str(scenario_path),
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_INPUT
-        assert f"invalid scenario: {cls}: unknown key '{key}'" in capsys.readouterr().err
+        # a list item is named by its index, outermost first
+        where = {"ends.0": "Scenario.ends[0]: ", "ends.0.arch": "Scenario.ends[0]: ",
+                 "ends.1.gain_curve": "Scenario.ends[1]: ",
+                 "ends.0.drift_events.0": "Scenario.ends[0]: MobileEndSpec.drift_events[0]: ",
+                 "ends.1.arch.layers.0": "Scenario.ends[1]: ModelArch.layers[0]: "}.get(section, "")
+        assert f"invalid scenario: {where}{cls}: unknown key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "o" / "metrics.csv").exists()
 
     @pytest.mark.parametrize("value, kind", [(7, "number"), (None, "null")])
@@ -187,8 +192,8 @@ class TestScenarioShape:
         rc = main(["gen-traces", "--scenario", str(scenario_path),
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_INPUT
-        assert (f"invalid scenario: MobileEndSpec.end_id: expected a JSON string, got {kind}"
-                in capsys.readouterr().err)
+        assert (f"invalid scenario: Scenario.ends[1]: MobileEndSpec.end_id: expected a JSON "
+                f"string, got {kind}" in capsys.readouterr().err)
         assert not os.listdir(tmp_path / "o")
 
     @pytest.mark.parametrize("section, field, value, message", [
@@ -203,6 +208,23 @@ class TestScenarioShape:
         rc = main(["simulate", "--scenario", str(scenario_path),
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_INPUT
+        where = {"ends.0.arch": "Scenario.ends[0]: ",
+                 "ends.0.drift_events": "Scenario.ends[0]: MobileEndSpec.drift_events[0]: "
+                 }.get(section, "")
+        assert f"invalid scenario: {where}{message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, field, value, message", [
+        ("ends.1", "frame_rate", float("inf"),
+         "Scenario.ends[1]: MobileEndSpec: frame_rate must be finite"),
+        ("ends.1.arch.layers.0", "c_in", -1,
+         "Scenario.ends[1]: ModelArch.layers[0]: LayerSpec: channel counts must be positive"),
+    ])
+    def test_class_check_names_the_list_item(self, scenario_path, tmp_path, capsys,
+                                             section, field, value, message):
+        _edit(scenario_path, section, field, value)
+        rc = main(["simulate", "--scenario", str(scenario_path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_INPUT
         assert f"invalid scenario: {message}" in capsys.readouterr().err
 
     def test_missing_key_names_its_section(self, scenario_path, tmp_path, capsys):
@@ -212,8 +234,8 @@ class TestScenarioShape:
         rc = main(["simulate", "--scenario", str(scenario_path),
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_INPUT
-        assert ("invalid scenario: DriftInjection: missing key 'magnitude'"
-                in capsys.readouterr().err)
+        assert ("invalid scenario: Scenario.ends[1]: MobileEndSpec.drift_events[0]: "
+                "DriftInjection: missing key 'magnitude'" in capsys.readouterr().err)
 
 
 def test_sweep_runs_all(scenario_path, tmp_path):
@@ -438,7 +460,8 @@ def test_profile_memory_rejects_an_unknown_key(tmp_path, capsys, section, key, c
     write_arch_json(arch, tiny_arch())
     _edit(arch, section, key, 8)
     assert main(["profile-memory", "--arch", str(arch)]) == EXIT_INPUT
-    assert f"{arch}: {cls}: unknown key '{key}'" in capsys.readouterr().err
+    where = "ModelArch.layers[0]: " if section else ""
+    assert f"{arch}: {where}{cls}: unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_profile_memory_names_a_missing_layer_field(tmp_path, capsys):

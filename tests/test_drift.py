@@ -397,11 +397,10 @@ class TestFrameTrace:
         cols = dict(t=np.array([1.0, 2.0, 4.0, 8.0]), cc=np.full(4, 0.5), lc=np.full(4, 0.6),
                     pixel_diff=np.arange(4.0), categories=(0, 1, 1))
         lazy = FrameTrace(features=draw, **cols)
-        window = lazy.take(slice(0, 3))
-        picks = window.take([0, 2])
-        assert len(lazy) == 4 and list(picks.t) == [1.0, 4.0] and not calls
+        window = lazy.window(0, 3)
+        assert len(lazy) == 4 and list(window.t[::2]) == [1.0, 4.0] and not calls
         # reading the features of a part draws the trace's up to the part's last frame
-        assert list(picks) == list(FrameTrace(features=eager, **cols))[0:3:2]
+        assert window[::2] == list(FrameTrace(features=eager, **cols))[0:3:2]
         assert calls == [(0, 3)]
         assert window.features.tobytes() == eager[:3].tobytes() and calls == [(0, 3)]
         # a later read draws only the frames not drawn yet
@@ -413,43 +412,39 @@ class TestFrameTrace:
         with pytest.raises(AttributeError):
             lazy.features = eager
 
-    @pytest.mark.parametrize("rows", [slice(2, 9, 3), slice(1, None), [], [0, 2, 3],
-                                      np.arange(1, 4)])
-    def test_taken_trace_is_an_eager_trace(self, rows):
-        """A taken trace gives the columns and records of a trace built from
-        the same rows, and draws its features only when they are read."""
-        rng = np.random.default_rng(5)
-        cols = dict(t=np.cumsum(rng.uniform(0.1, 1.0, 10)), cc=rng.uniform(0.0, 1.0, 10),
-                    lc=rng.uniform(0.0, 1.0, 10), pixel_diff=rng.uniform(0.0, 9.0, 10))
-        features = rng.normal(size=(10, 2, 3))
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 12), lo=st.integers(-15, 15), hi=st.integers(-15, 15),
+           lazy=st.booleans(), read=st.integers(0, 11), seed=st.integers(0, 2**32 - 1))
+    def test_window_is_a_view_of_its_rows(self, n, lo, hi, lazy, read, seed):
+        """A window gives the records of the same slice of the trace, bounded
+        as a slice is, over read-only views of its columns; a read of a
+        window of a lazy trace draws the trace's features only up to the
+        last row read."""
+        rng = np.random.default_rng(seed)
+        cols = dict(t=np.cumsum(rng.uniform(0.1, 1.0, n)), cc=rng.uniform(0.0, 1.0, n),
+                    lc=rng.uniform(0.0, 1.0, n), pixel_diff=rng.uniform(0.0, 9.0, n),
+                    categories=(4, 5))
+        features = rng.normal(size=(n, 2, 3))
         drawn = []
-        lazy = FrameTrace(features=lambda start, stop: drawn.append((start, stop))
-                          or features[start:stop], categories=(4, 5), **cols).take(rows)
-        eager = FrameTrace(features=features[rows], categories=(4, 5),
-                           **{k: v[rows] for k, v in cols.items()})
-        assert len(lazy) == len(eager)
+        source = (lambda start, stop: drawn.append((start, stop)) or features[start:stop]
+                  ) if lazy else features
+        trace = FrameTrace(features=source, **cols)
+        window = trace.window(lo, hi)
+        want = list(FrameTrace(features=features, **cols))[lo:hi]
+        first = range(n)[lo:hi].start
+        assert len(window) == len(want) and window.categories == trace.categories
         for name in ("t", "cc", "lc", "pixel_diff", "clc"):
-            column = getattr(lazy, name)
-            assert column.tobytes() == getattr(eager, name).tobytes()
-            assert not column.flags.writeable and getattr(lazy, name) is column
-        assert not drawn and lazy.categories == eager.categories
-        assert [repr(f) for f in lazy] == [repr(f) for f in eager]
-        # drawn once, up to the last row taken
-        last = int(np.arange(10)[rows].max(initial=-1)) + 1
-        assert drawn == [(0, last)] and lazy.features.tobytes() == eager.features.tobytes()
-        assert drawn == [(0, last)]
-
-    def test_take_out_of_range(self):
-        trace = columnar([1.0, 2.0, 3.0], [0.5] * 3, [0.5] * 3, [1.0] * 3)
-        with pytest.raises(IndexError):
-            trace.take([1, 3])
-        assert len(trace.take(slice(1, 9))) == 2
-
-    @pytest.mark.parametrize("rows", [slice(3, 0, -1), [1, 1], [2, 1], [-1, 0]])
-    def test_take_needs_increasing_rows(self, rows):
-        trace = columnar([1.0, 2.0, 3.0], [0.5] * 3, [0.5] * 3, [1.0] * 3)
-        with pytest.raises(ValueError):
-            trace.take(rows)
+            column = getattr(window, name)
+            assert column.tobytes() == getattr(trace, name)[lo:hi].tobytes()
+            assert not column.flags.writeable
+        assert not drawn
+        if want:
+            read %= len(want)
+            assert window[read] == want[read] and repr(window[read]) == repr(want[read])
+            assert drawn == ([(0, first + read + 1)] if lazy else [])
+        assert list(window) == want and [repr(f) for f in window] == [repr(f) for f in want]
+        assert window.features.tobytes() == features[lo:hi].tobytes()
+        assert not lazy or max((stop for _, stop in drawn), default=0) == first + len(want)
 
     @pytest.mark.parametrize("column, value, message", [
         ("cc", 1.5, "cc and lc"), ("lc", -0.1, "cc and lc"), ("cc", math.nan, "cc and lc"),
@@ -481,7 +476,7 @@ class TestFrameTrace:
         with pytest.raises(ValueError, match=r"features of shape"):
             FrameTrace(features=np.zeros(shape), **cols)
         lazy = FrameTrace(features=lambda start, stop: np.zeros(shape)[start:stop], **cols)
-        for read in (lambda: lazy.features, lambda: lazy[0], lambda: list(lazy.take([1]))):
+        for read in (lambda: lazy.features, lambda: lazy[0], lambda: list(lazy.window(1, 2))):
             with pytest.raises(ValueError, match=r"features of shape"):
                 read()
         short = FrameTrace(features=lambda start, stop: np.zeros((1, 1, 2)), **cols)

@@ -36,11 +36,11 @@ class TestSampleSudden:
         trace = trace_at([i / 30.0 for i in range(1, 301)])  # 10 s at 30 fps
         picked = sample_sudden(trace, 0.6)
         assert len(picked) == 6
-        assert all(abs(g - 1 / 0.6) < 1 / 30.0 + 1e-9 for g in np.diff(picked.t))
+        assert all(abs(g - 1 / 0.6) < 1 / 30.0 + 1e-9 for g in np.diff(trace.t[picked]))
 
     def test_rate_above_trace_rate_takes_all(self):
         trace = trace_at([float(i) for i in range(1, 11)])
-        assert list(sample_sudden(trace, 5.0)) == list(trace)
+        assert sample_sudden(trace, 5.0).tolist() == list(range(len(trace)))
 
     def test_empty(self):
         assert len(sample_sudden(trace_at([]), 0.6)) == 0
@@ -50,9 +50,8 @@ class TestSampleSudden:
         for _ in range(20):
             times = np.unique(rng.uniform(0, 100, int(rng.integers(1, 60))))
             picked = sample_sudden(trace_at(times), float(rng.uniform(0.05, 2.0)))
-            # the times are distinct, so they name the frames
-            assert (np.diff(picked.t) > 0).all()
-            assert np.isin(picked.t, times).all()
+            assert (np.diff(picked) > 0).all()
+            assert ((0 <= picked) & (picked < len(times))).all()
 
     def test_size_bound(self):
         trace = trace_at([float(i) for i in range(1, 101)])
@@ -106,11 +105,8 @@ class TestSampleIncremental:
         cfg = SamplerConfig()
         trace = trace_at([float(i) for i in range(0, 200)])
         picked = sample_incremental(trace, cfg)
-        frames = list(trace)
-        assert all(f in frames for f in picked)
-        times = [f.t for f in picked]
-        assert times == sorted(times)
-        assert len(set(times)) == len(times)
+        assert (np.diff(picked) > 0).all()
+        assert ((0 <= picked) & (picked < len(trace))).all()
 
 
 def model():
@@ -270,7 +266,7 @@ def test_incremental_over_many_segments_matches_reference():
     assert [linear_rate(t[0] + 30.0 * k, t[0], cfg) == cfg.r_max for k in (4, 5)] == [False, True]
     trace = trace_at(t)
     want = reference_sample_incremental(list(trace), cfg)
-    assert list(sample_incremental(trace, cfg)) == want
+    assert [trace[int(r)] for r in sample_incremental(trace, cfg)] == want
     picked = [f.t for f in want]
     assert not [p for p in picked if 91.25 <= p < 151.25]  # the empty segments
     assert len([p for p in picked if 241.25 <= p < 271.25]) == 17  # every frame there
@@ -329,7 +325,7 @@ def _window_case(draw):
         features = lambda start, stop: eager[start:stop]  # noqa: E731  (a lazy trace)
     trace = FrameTrace(t=t, cc=np.full(len(t), 0.8), lc=np.full(len(t), 0.9),
                        pixel_diff=pixel, features=features, categories=categories)
-    return trace.take(slice(lo, hi)), cfg, model
+    return trace.window(lo, hi), cfg, model
 
 
 @settings(max_examples=300, deadline=None)
@@ -342,9 +338,11 @@ def test_samplers_match_reference_on_columns(case):
             (sample_incremental, reference_sample_incremental, (cfg,)),
             (sample_gradual, reference_sample_gradual, (cfg, model))):
         want = reference(records, *args)
-        got = sample(window, *args)
-        assert isinstance(got, FrameTrace)
-        assert list(got) == want
+        rows = sample(window, *args)
+        assert rows.dtype == np.intp and rows.ndim == 1
+        assert (np.diff(rows) > 0).all() and ((0 <= rows) & (rows < len(window))).all()
+        got = [window[int(r)] for r in rows]
+        assert got == want
         assert [repr(f) for f in got] == [repr(f) for f in want]
     # a record sequence gets the same record objects back
     want = reference_sample_gradual(records, cfg, model)

@@ -37,7 +37,6 @@ from evosched.simenv import (
     _TaskState,
     _stream,
     admit,
-    default_centroids,
     gen_trace,
     ground_truth_retrain_seconds,
     load_scenario,
@@ -180,7 +179,7 @@ def reference_gen_trace(spec, seed, end_index, duration, sampler_cfg=None):
     noise_rng = _stream(seed, end_index, 0)
     mix_rng = _stream(seed, end_index, 1)
     det_rng = _stream(seed, end_index, 2)
-    model = default_centroids()
+    model = simenv._FEATURE_MODEL
 
     frames = []
     for i in range(int(duration * spec.frame_rate)):
@@ -291,7 +290,7 @@ def test_gen_trace_draws_features_on_first_read(monkeypatch):
     purposes, rows = _count_feature_rows(monkeypatch)
     spec = sudden_end(t=50.0)
     trace = gen_trace(spec, seed=3, end_index=1, duration=120.0)
-    window = trace.take(slice(40, 80))
+    window = trace.window(40, 80)
     assert len(window) == 40 and 2 not in purposes
     want = reference_gen_trace(spec, 3, 1, 120.0)
     assert list(window) == want[40:80]
