@@ -446,6 +446,31 @@ class TestFrameTrace:
         assert window.features.tobytes() == features[lo:hi].tobytes()
         assert not lazy or max((stop for _, stop in drawn), default=0) == first + len(want)
 
+    @pytest.mark.parametrize("rows", [(2, 9), (1, 10), (0, 0), (0, 4), (1, 4)])
+    def test_taken_trace_is_an_eager_trace(self, rows):
+        """A window gives the columns and records of a trace built from the
+        same rows, and draws its features only when they are read."""
+        lo, hi = rows
+        rng = np.random.default_rng(5)
+        cols = dict(t=np.cumsum(rng.uniform(0.1, 1.0, 10)), cc=rng.uniform(0.0, 1.0, 10),
+                    lc=rng.uniform(0.0, 1.0, 10), pixel_diff=rng.uniform(0.0, 9.0, 10))
+        features = rng.normal(size=(10, 2, 3))
+        drawn = []
+        lazy = FrameTrace(features=lambda start, stop: drawn.append((start, stop))
+                          or features[start:stop], categories=(4, 5), **cols).window(lo, hi)
+        eager = FrameTrace(features=features[lo:hi], categories=(4, 5),
+                           **{k: v[lo:hi] for k, v in cols.items()})
+        assert len(lazy) == len(eager)
+        for name in ("t", "cc", "lc", "pixel_diff", "clc"):
+            column = getattr(lazy, name)
+            assert column.tobytes() == getattr(eager, name).tobytes()
+            assert not column.flags.writeable and getattr(lazy, name) is column
+        assert not drawn and lazy.categories == eager.categories
+        assert [repr(f) for f in lazy] == [repr(f) for f in eager]
+        # drawn once, up to the last row of the window
+        assert drawn == [(0, hi)] and lazy.features.tobytes() == eager.features.tobytes()
+        assert drawn == [(0, hi)]
+
     @pytest.mark.parametrize("column, value, message", [
         ("cc", 1.5, "cc and lc"), ("lc", -0.1, "cc and lc"), ("cc", math.nan, "cc and lc"),
         ("pixel", -1.0, "pixel_diff"), ("pixel", math.nan, "pixel_diff"),
