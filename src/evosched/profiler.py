@@ -3,8 +3,9 @@ fitting, and a small learned regressor for retraining time.
 
 Memory demand is computed from the layer list (parameters, features, gradients,
 optimizer state, framework workspace).  Accuracy over epochs is modelled by the
-saturating family A(e) = a_max - 1/(b*e + c).  Retraining time is predicted by
-a three-hidden-layer feed-forward network over five scalar job features.
+saturating family A(e) = a_max - 1/(b*e + c), fitted by one bounded search over
+the direction of (b, c) with a linear inner solve.  Retraining time is predicted
+by a three-hidden-layer feed-forward network over five scalar job features.
 """
 from __future__ import annotations
 
@@ -216,15 +217,21 @@ def _value_reader(annotation: str, names: dict, where: str):
 
         return read
     cls = names[annotation]
-    return functools.partial(from_doc, cls) if is_dataclass(cls) else cls  # an enum reads its value
+    if is_dataclass(cls):
+        return functools.partial(from_doc, cls)
+    values = tuple(member.value for member in cls)  # an enum reads its value
+    return lambda value: cls(_checked(value, str, where, values))
 
 
-def _checked(value, kind: type, where: str):
-    """``value`` if it is of JSON kind ``kind``, else ValueError naming ``where``."""
+def _checked(value, kind: type, where: str, among: tuple = ()):
+    """``value`` if it is of JSON kind ``kind`` and, where ``among`` is given,
+    one of ``among``; else ValueError naming ``where``."""
     if not isinstance(value, kind):
         kinds = {dict: "object", list: "list", str: "string", bool: "boolean", type(None): "null"}
         raise ValueError(f"{where}: expected a JSON {kinds[kind]}, "
                          f"got {kinds.get(type(value), 'number')}")
+    if among and value not in among:
+        raise ValueError(f"{where}: {value!r} is not one of {', '.join(map(repr, among))}")
     return value
 
 
@@ -294,47 +301,33 @@ class AccuracyCurve:
 
 
 def fit_accuracy_curve(probes: Sequence[Tuple[float, float]]) -> AccuracyCurve:
-    """Least-squares fit of the saturating curve family to (epoch, accuracy)
-    probes, with b, c constrained non-negative.
-
-    Nested bounded scalar searches: the outer search runs over b, the inner
-    over c; a_max has a closed form (mean residual offset) at each step."""
+    """Least-squares fit of the curve family to (epoch, accuracy) probes with
+    0 <= b <= 1e3 and 1e-9 <= c <= 1e4.  One bounded search runs over the direction
+    s = c / (b + c); at each step a_max and k = 1 / c have a closed form (variable projection)."""
     from scipy.optimize import minimize_scalar  # scipy is slow to import; only fitting needs it
 
     if len(probes) < 3:
         raise ValueError("need at least 3 probe points")
-    e = np.asarray([p[0] for p in probes], dtype=float)
-    y = np.asarray([p[1] for p in probes], dtype=float)
+    e, y = np.asarray(probes, dtype=float).T
     if np.ptp(e) == 0:
         raise ValueError("probe epochs are all identical")
 
-    def solve_a_max(b: float, c: float) -> float:
-        return float(np.mean(y + 1.0 / (b * e + c)))
+    def fit(w: float) -> Tuple[float, float, float, float]:  # SSE, a_max, b, c with b / c = w
+        if 1.0 + w * e.min() <= 0:  # some b * e + c <= 0
+            return math.inf, 0.0, 0.0, 0.0
+        g = 1.0 / (w * e + 1.0)  # the curve is a_max - k * g, linear in a_max and k
+        g_c = g - g.mean()
+        k = -float(np.dot(y, g_c)) / (float(np.dot(g_c, g_c)) or 1.0)
+        k = min(max(k, w / 1e3, 1e-4), 1e9)  # the box: b = w / k <= 1e3, 1e-9 <= c <= 1e4
+        a_max = float(np.mean(y + k * g))
+        return float(np.sum((y - a_max + k * g) ** 2)), a_max, min(w / k, 1e3), 1.0 / k
 
-    def sse(b: float, c: float) -> float:
-        denom = b * e + c
-        if np.any(denom <= 0):
-            return float("inf")
-        a_max = solve_a_max(b, c)
-        r = y - (a_max - 1.0 / denom)
-        return float(np.dot(r, r))
-
-    def inner(b: float) -> Tuple[float, float]:
-        res = minimize_scalar(
-            lambda c: sse(b, c), bounds=(1e-9, 1e4), method="bounded",
-            options={"xatol": 1e-10, "maxiter": 200},
-        )
-        return float(res.x), float(res.fun)
-
-    outer = minimize_scalar(
-        lambda b: inner(b)[1], bounds=(0.0, 1e3), method="bounded",
-        options={"xatol": 1e-10, "maxiter": 200},
-    )
-    b = float(outer.x)
-    c, _ = inner(b)
-    a_max = solve_a_max(b, c)
-    # A flat probe set fits best with a huge c (1/(b*e+c) ~ 0); keep params tidy.
-    return AccuracyCurve(a_max=a_max, b=max(0.0, b), c=max(0.0, c))
+    top = 1e12 / max(1.0, -1e12 * float(e.min()))  # b / c <= 1e3 / 1e-9, and b * e + c > 0
+    search = minimize_scalar(lambda s: fit((1.0 - s) / s)[0], bounds=(1.0 / (1.0 + top), 1.0),
+                             method="bounded", options={"xatol": 1e-10, "maxiter": 200})
+    s = float(search.x)  # the best s, unless an end of its range fits better
+    _, a_max, b, c = min(fit(w) for w in ((1.0 - s) / s, top, 0.0))
+    return AccuracyCurve(a_max=a_max, b=b, c=c)
 
 
 # --- retraining-time regressor ----------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from statistics import NormalDist
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -181,7 +182,8 @@ def select_tasks(
     decision_t: float = 0.0,
 ) -> SelectionResult:
     """0/1 knapsack over memory (1 MB grid, demands rounded up) maximizing
-    the sum of ``100 / predicted_t_r`` over admitted tasks.
+    the sum of ``100 / predicted_t_r`` over admitted tasks; ValueError naming
+    a task if the sum over all tasks is not finite.
 
     Ties between equal-value solutions resolve to the lexicographically
     smallest selected-id set: a suffix DP over id-sorted candidates gives
@@ -214,6 +216,9 @@ def select_tasks(
     tasks = sorted(candidates, key=lambda t: t.id)
     weights = [int(math.ceil(t.mem_demand)) for t in tasks]
     values = [100.0 / t.predicted_t_r for t in tasks]
+    for t, total in zip(tasks, accumulate(values)):
+        if not math.isfinite(total):
+            raise ValueError(f"task {t.id!r}: the sum of 100 / predicted_t_r up to it is not finite")
     cap = math.floor(min(capacity_mb, sum(weights)))
     if cap > np.iinfo(np.int64).max:
         raise ValueError(f"a {cap} MB grid does not fit in int64")

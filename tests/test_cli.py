@@ -136,10 +136,12 @@ class TestSimulate:
         assert main(["simulate", "--scenario", str(path)]) == EXIT_INPUT
         assert "JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error", [RuntimeError, KeyError])
     def test_uncaught_exception_is_internal_error(self, scenario_path, tmp_path,
-                                                  monkeypatch, capsys):
+                                                  monkeypatch, capsys, error):
+        """No input path raises KeyError, so one is a defect like any other."""
         def broken_run(scenario):
-            raise RuntimeError("event heap corrupted")
+            raise error("event heap corrupted")
         monkeypatch.setattr(simenv, "run", broken_run)
         rc = main(["simulate", "--scenario", str(scenario_path),
                    "--out", str(tmp_path / "o")])
@@ -226,6 +228,31 @@ class TestScenarioShape:
                    "--out", str(tmp_path / "o")])
         assert rc == EXIT_INPUT
         assert f"invalid scenario: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, members", [
+        (None, "policy", "'adaptive', 'default-gpu', 'serial-fifo', 'serial-priority', "
+                         "'dp-no-grouping'"),
+        ("ends.1.arch.layers.0", "kind", "'conv', 'fc', 'batchnorm'"),
+        ("ends.0.drift_events.0", "type", "'sudden', 'incremental', 'gradual'"),
+    ], ids=["policy", "kind", "type"])
+    @pytest.mark.parametrize("value, problem", [
+        ("warp", "'warp' is not one of {members}"),
+        (3, "expected a JSON string, got number"),
+        (None, "expected a JSON string, got null"),
+    ], ids=["string", "number", "null"])
+    def test_enum_value_names_its_field(self, scenario_path, tmp_path, capsys,
+                                        section, key, members, value, problem):
+        _edit(scenario_path, section, key, value)
+        rc = main(["simulate", "--scenario", str(scenario_path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == EXIT_INPUT
+        where = {None: "Scenario.policy",
+                 "ends.1.arch.layers.0": "Scenario.ends[1]: ModelArch.layers[0]: LayerSpec.kind",
+                 "ends.0.drift_events.0":
+                     "Scenario.ends[0]: MobileEndSpec.drift_events[0]: DriftInjection.type",
+                 }[section]
+        message = f"invalid scenario: {where}: {problem.format(members=members)}"
+        assert message in capsys.readouterr().err
 
     def test_missing_key_names_its_section(self, scenario_path, tmp_path, capsys):
         doc = json.loads(scenario_path.read_text())
@@ -563,6 +590,18 @@ class TestSchedule:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "task id 'a' of record 2 is repeated" in captured.err
+
+    @pytest.mark.parametrize("t_rs, bad", [((1e-320,), "a"), ((1e-306, 1e-306), "b")])
+    def test_value_past_the_largest_float_is_input_error(self, tmp_path, capsys, t_rs, bad):
+        """A value of inf, or two whose sum is inf, is not JSON and ties every subset."""
+        path = tmp_path / "tasks.json"
+        path.write_text(json.dumps([{"id": tid, "mem_demand": 10, "predicted_t_r": t_r}
+                                    for tid, t_r in zip("ab", t_rs)]))
+        rc = main(["schedule", "--tasks", str(path), "--capacity", "100"])
+        assert rc == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: task '{bad}': the sum of 100 / predicted_t_r" in captured.err
 
     def test_defaults_and_given_fields_select_as_before(self, tmp_path, capsys):
         """``end_id``, ``arrival_t`` and ``urgency`` are optional, and a

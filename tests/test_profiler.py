@@ -1,8 +1,12 @@
 import hashlib
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from evosched.profiler import (
     DEFAULT_WORKSPACE_BYTES,
@@ -164,6 +168,17 @@ class TestAccuracyCurve:
         with pytest.raises(ValueError):
             fit_accuracy_curve([(1.0, 0.5), (2.0, 0.6)])
 
+    def test_probes_at_negative_epochs(self):
+        """The search stays where every b * e + c > 0, so none of its steps
+        meets an infinite SSE (the nested search warned of invalid values here)."""
+        probes = [(-4.0, 0.49944599913255794), (-3.0, 0.49934439100772415),
+                  (0.0, 0.5001622837260393), (1.0, 0.4999029747950161),
+                  (2.0, 0.49879292628473854)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_accuracy_curve(probes)
+        assert curve_sse(fit, probes) <= curve_sse(nested_fit(probes), probes) * (1 + 1e-6)
+
     def test_noisy_probe_prediction_error(self):
         rng = np.random.default_rng(5)
         rel_errors = []
@@ -178,6 +193,77 @@ class TestAccuracyCurve:
                 t = true.predict(e)
                 rel_errors.append(abs(fit.predict(e) - t) / t)
         assert float(np.mean(rel_errors)) <= 0.0523
+
+
+def nested_fit(probes):
+    """The reference fit: a bounded search over c inside every step of a
+    bounded search over b, with a_max in closed form (mean residual offset)."""
+    e = np.asarray([p[0] for p in probes], dtype=float)
+    y = np.asarray([p[1] for p in probes], dtype=float)
+
+    def solve_a_max(b, c):
+        return float(np.mean(y + 1.0 / (b * e + c)))
+
+    def sse(b, c):
+        denom = b * e + c
+        if np.any(denom <= 0):
+            return float("inf")
+        r = y - (solve_a_max(b, c) - 1.0 / denom)
+        return float(np.dot(r, r))
+
+    def inner(b):
+        res = minimize_scalar(lambda c: sse(b, c), bounds=(1e-9, 1e4), method="bounded",
+                              options={"xatol": 1e-10, "maxiter": 200})
+        return float(res.x), float(res.fun)
+
+    with np.errstate(invalid="ignore"):  # its steps meet inf where some b * e + c <= 0
+        outer = minimize_scalar(lambda b: inner(b)[1], bounds=(0.0, 1e3), method="bounded",
+                                options={"xatol": 1e-10, "maxiter": 200})
+        b = float(outer.x)
+        c, _ = inner(b)
+    return AccuracyCurve(a_max=solve_a_max(b, c), b=b, c=c)
+
+
+def curve_sse(curve, probes):
+    e, y = np.asarray(probes, dtype=float).T
+    return float(np.sum((y - (curve.a_max - 1.0 / (curve.b * e + curve.c))) ** 2))
+
+
+@st.composite
+def probe_sets(draw):
+    """(epoch, accuracy) probes that are clean, noisy, steep, flat or falling,
+    some at epochs shifted below zero."""
+    kind = draw(st.sampled_from(["clean", "noisy", "steep", "flat", "falling"]))
+    epochs = draw(st.lists(st.integers(1, 40), min_size=3, max_size=8, unique=True))
+    e = np.sort(np.asarray(epochs, dtype=float)) * draw(st.floats(0.2, 2.0))
+    a_max = draw(st.floats(0.5, 0.95))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind in ("clean", "noisy"):
+        y = a_max - 1.0 / (draw(st.floats(0.05, 2.0)) * e + draw(st.floats(0.5, 3.0)))
+        if kind == "noisy":
+            y = y + rng.normal(0.0, 0.01, len(e))
+    elif kind == "steep":
+        y = a_max - 1.0 / (draw(st.floats(2.0, 50.0)) * e + draw(st.floats(1e-3, 0.1)))
+        y = y + rng.normal(0.0, 0.002, len(e))
+    elif kind == "flat":
+        y = a_max + rng.normal(0.0, 1e-3, len(e))
+    else:
+        y = a_max - draw(st.floats(1e-3, 0.05)) * e + rng.normal(0.0, 0.005, len(e))
+    return list(zip((e + draw(st.sampled_from([0.0, -5.0]))).tolist(), y.tolist()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(probe_sets())
+def test_fit_is_no_worse_than_the_nested_search(probes):
+    """One search over the direction of (b, c) fits as well as the nested
+    searches over b and c, inside the same box."""
+    fit = fit_accuracy_curve(probes)
+    assert curve_sse(fit, probes) <= curve_sse(nested_fit(probes), probes) * (1 + 1e-6) + 1e-12
+    assert np.isfinite([fit.b, fit.c]).all()
+    assert 0.0 <= fit.b <= 1e3 and 1e-9 <= fit.c <= 1e4
+    e = np.asarray(probes)[:, 0]
+    values = [fit.predict(x) for x in np.linspace(e.min(), e.max(), 50)]
+    assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 def cost_model(f):

@@ -228,6 +228,14 @@ class TestSelectTasks:
         with pytest.raises(ValueError, match="capacity_mb"):
             select_tasks([task("a", 10, 10)], math.nan)
 
+    @pytest.mark.parametrize("t_rs, bad", [((1e-320,), "a"), ((1e-306, 1e-306), "b")])
+    def test_values_past_the_largest_float_rejected(self, t_rs, bad):
+        """``100 / 1e-320`` is inf, and two values near 1e308 sum to inf:
+        every subset holding them would tie at inf."""
+        tasks = [task(tid, 10, t_r) for tid, t_r in zip("ab", t_rs)]
+        with pytest.raises(ValueError, match=f"task '{bad}': the sum of 100 / predicted_t_r"):
+            select_tasks(tasks, 100.0)
+
 
 def reference_select_tasks(candidates, capacity_mb, value_scale=100.0, decision_t=0.0):
     """The float-table knapsack: one row per task over the whole requested
