@@ -35,8 +35,10 @@ def _load_scenario(path, args):
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     if getattr(args, "policy", None):
+        from .profiler import _checked
         from .simenv import Policy
-        scenario = replace(scenario, policy=Policy(args.policy))
+        policy = _checked(args.policy, str, "--policy", tuple(p.value for p in Policy))
+        scenario = replace(scenario, policy=Policy(policy))
     return scenario
 
 
@@ -101,7 +103,7 @@ def cmd_profile_memory(args) -> int:
 
 def cmd_schedule(args) -> int:
     from .profiler import fields_doc, from_doc, json_doc, parse_file
-    from .scheduler import EvolutionTask, TaskRecord, select_tasks
+    from .scheduler import EvolutionTask, select_tasks
     if args.capacity <= 0:
         raise ValueError("capacity must be positive MB")
     doc = parse_file(args.tasks, json_doc)
@@ -110,8 +112,7 @@ def cmd_schedule(args) -> int:
     tasks = {}
     for i, rec in enumerate(doc):
         try:
-            r = from_doc(TaskRecord, rec)
-            task = EvolutionTask(**{**vars(r), "end_id": r.id if r.end_id is None else r.end_id})
+            task = from_doc(EvolutionTask, rec)
         except ValueError as exc:
             raise ValueError(f"{args.tasks}: bad task record {i} {rec!r}: {exc}") from exc
         if tasks.setdefault(task.id, task) is not task:

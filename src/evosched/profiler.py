@@ -3,7 +3,7 @@ fitting, and a small learned regressor for retraining time.
 
 Memory demand is computed from the layer list (parameters, features, gradients,
 optimizer state, framework workspace).  Accuracy over epochs is modelled by the
-saturating family A(e) = a_max - 1/(b*e + c), fitted by one bounded search over
+saturating family A(e) = a_max - 1/(b*e + c), fitted by bounded searches over
 the direction of (b, c) with a linear inner solve.  Retraining time is predicted
 by a three-hidden-layer feed-forward network over five scalar job features.
 """
@@ -302,8 +302,9 @@ class AccuracyCurve:
 
 def fit_accuracy_curve(probes: Sequence[Tuple[float, float]]) -> AccuracyCurve:
     """Least-squares fit of the curve family to (epoch, accuracy) probes with
-    0 <= b <= 1e3 and 1e-9 <= c <= 1e4.  One bounded search runs over the direction
-    s = c / (b + c); at each step a_max and k = 1 / c have a closed form (variable projection)."""
+    0 <= b <= 1e3 and 1e-9 <= c <= 1e4.  Bounded searches run over the direction
+    s = c / (b + c) and over log10(b / c); at each step a_max and k = 1 / c have a
+    closed form (variable projection)."""
     from scipy.optimize import minimize_scalar  # scipy is slow to import; only fitting needs it
 
     if len(probes) < 3:
@@ -323,10 +324,16 @@ def fit_accuracy_curve(probes: Sequence[Tuple[float, float]]) -> AccuracyCurve:
         return float(np.sum((y - a_max + k * g) ** 2)), a_max, min(w / k, 1e3), 1.0 / k
 
     top = 1e12 / max(1.0, -1e12 * float(e.min()))  # b / c <= 1e3 / 1e-9, and b * e + c > 0
-    search = minimize_scalar(lambda s: fit((1.0 - s) / s)[0], bounds=(1.0 / (1.0 + top), 1.0),
-                             method="bounded", options={"xatol": 1e-10, "maxiter": 200})
-    s = float(search.x)  # the best s, unless an end of its range fits better
-    _, a_max, b, c = min(fit(w) for w in ((1.0 - s) / s, top, 0.0))
+    options = {"xatol": 1e-10, "maxiter": 200}
+    s = float(minimize_scalar(lambda s: fit((1.0 - s) / s)[0], bounds=(1.0 / (1.0 + top), 1.0),
+                              method="bounded", options=options).x)
+    # a flat probe set fits best near b / c = 0, where a search over s cannot
+    # resolve b / c: search log10(b / c) too, down to 1e-12, below which
+    # 1 + e * b / c rounds to 1 and the SSE to noise
+    hi = math.log10(top)
+    x = float(minimize_scalar(lambda x: fit(10.0 ** x)[0], bounds=(min(-12.0, hi), hi),
+                              method="bounded", options=options).x)
+    _, a_max, b, c = min(fit(w) for w in ((1.0 - s) / s, 10.0 ** x, top, 0.0))
     return AccuracyCurve(a_max=a_max, b=b, c=c)
 
 

@@ -21,17 +21,20 @@ from .core import check_numbers
 
 @dataclass
 class EvolutionTask:
-    """One server-side retraining request."""
+    """One server-side retraining request, and a record of a ``schedule``
+    task list: the defaults are that file format's, and an absent
+    ``end_id`` is the task's own id."""
 
     id: str
-    end_id: str
-    arrival_t: float
-    urgency: float
     mem_demand: float        # MB
     predicted_t_r: float     # seconds
-    group: Optional[int] = None
+    end_id: Optional[str] = None
+    arrival_t: float = 0.0
+    urgency: float = 50.0
 
     def __post_init__(self):
+        if self.end_id is None:
+            self.end_id = self.id
         check_numbers(self)
         if self.mem_demand <= 0:
             raise ValueError("mem_demand must be positive")
@@ -39,17 +42,6 @@ class EvolutionTask:
             raise ValueError("predicted_t_r must be positive")
         if not 0 < self.urgency < 100:
             raise ValueError("urgency must be in (0, 100)")
-
-
-@dataclass
-class TaskRecord:
-    """A task as a ``schedule`` task list gives it: an :class:`EvolutionTask` with no group."""
-    id: str
-    mem_demand: float        # MB
-    predicted_t_r: float     # seconds
-    end_id: Optional[str] = None  # the task's own id when absent
-    arrival_t: float = 0.0
-    urgency: float = 50.0
 
 
 @dataclass(frozen=True)

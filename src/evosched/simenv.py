@@ -516,11 +516,9 @@ class _Sim:
         self._seq = 0
         self._now = 0.0  # time of the event being handled
         self._task_counter = 0
-        self.boundaries: List[float] = []
-        if scenario.policy is Policy.ADAPTIVE:
-            k = group_number(scenario.grouping)
-            g = scenario.grouping
-            self.boundaries = group_boundaries(k, g.lambda_min, g.lambda_max, g.sigma)
+        g = scenario.grouping  # only the adaptive policy splits the queue into groups
+        self.boundaries = (group_boundaries(group_number(g), g.lambda_min, g.lambda_max, g.sigma)
+                           if scenario.policy is Policy.ADAPTIVE else [])
         self._work_t = 0.0  # time up to which remaining_work is current
 
         self.ends = []
@@ -596,14 +594,12 @@ class _Sim:
         self._task_counter += 1
         task = EvolutionTask(
             id=f"task{self._task_counter:04d}",
+            mem_demand=end.start.memory.total_mb,
+            predicted_t_r=work / self.pool.compute_capacity,
             end_id=end.spec.end_id,
             arrival_t=t + t_upload,
             urgency=lam,
-            mem_demand=end.start.memory.total_mb,
-            predicted_t_r=work / self.pool.compute_capacity,
         )
-        if self.boundaries:
-            task.group = assign_group(lam, self.boundaries)
         self.tasks[task.id] = _TaskState(task=task, end=end, trigger_t=t,
                                          t_upload=t_upload, remaining_work=work)
         self._push(t + t_upload, self._on_upload_done, task.id)
@@ -656,7 +652,7 @@ class _Sim:
         """The one admission of an event: bring the pool up to ``t``, then
         apply the shares ``admit`` gives, with or without tasks queued."""
         self._advance(t)
-        self._apply(t, admit(self.sc.policy, self.queue, self.pool, t))
+        self._apply(t, admit(self.sc.policy, self.queue, self.pool, t, self.boundaries))
 
     def _advance(self, t: float) -> None:
         """Charge every running task for the work done since the last advance,
@@ -719,19 +715,21 @@ def admit(
     queue: Sequence[EvolutionTask],
     pool: GpuPool,
     now: float,
+    boundaries: Sequence[float],
 ) -> Dict[str, float]:
     """Compute shares ``policy`` assigns at ``now``: one for each task it
     admits from ``queue``, in queue order, and one for each running task
     whose share changes.
 
-    Adaptive: knapsack selection within the most urgent group that yields a
+    Adaptive: the queue splits into urgency groups at ``boundaries``, and
+    knapsack selection runs within the most urgent group that yields a
     selection, falling through to the next group otherwise; the admitted
     tasks split the free compute in proportion to memory.  DP-without-
-    grouping: the same over the whole queue.  Default GPU: arrival order while
-    memory fits, stopping at the first task that does not (head-of-line
-    rule); every running and admitted task gets an equal share.  Serial
-    policies: one task at a time with all compute, FIFO or highest urgency
-    first."""
+    grouping is the same rule with no boundaries.  Default GPU: arrival
+    order while memory fits, stopping at the first task that does not
+    (head-of-line rule); every running and admitted task gets an equal
+    share.  Serial policies: one task at a time with all compute, FIFO or
+    highest urgency first."""
     free_mem = pool.free_memory_at(now)
     if policy is Policy.DEFAULT_GPU:
         ids = list(pool.running)
@@ -758,14 +756,13 @@ def admit(
     free_compute = pool.compute_capacity - sum(e.share for e in pool.running.values())
     if not queue or free_mem <= 0 or free_compute <= 1e-9:
         return {}
-    if policy is Policy.ADAPTIVE:
-        for g in sorted({task.group for task in queue}):
-            chosen = select_tasks([task for task in queue if task.group == g],
-                                  free_mem, decision_t=now).selected
-            if chosen:
-                break
-    else:
-        chosen = select_tasks(queue, free_mem, decision_t=now).selected
+    groups: Dict[int, List[EvolutionTask]] = {}
+    for task in queue:
+        groups.setdefault(assign_group(task.urgency, boundaries), []).append(task)
+    for g in sorted(groups):
+        chosen = select_tasks(groups[g], free_mem, decision_t=now).selected
+        if chosen:
+            break
     picked = [task for task in queue if task.id in chosen]
     return allocate_compute(picked, free_compute) if picked else {}
 

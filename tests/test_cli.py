@@ -75,10 +75,13 @@ class TestSimulate:
         path.write_text("{not json")
         assert main(["simulate", "--scenario", str(path)]) == EXIT_INPUT
 
-    def test_bad_policy_is_input_error(self, scenario_path, tmp_path):
+    def test_bad_policy_is_input_error(self, scenario_path, tmp_path, capsys):
         rc = main(["simulate", "--scenario", str(scenario_path),
                    "--policy", "warp-speed", "--out", str(tmp_path / "o")])
         assert rc == EXIT_INPUT
+        # the message names the flag and the policies it takes
+        assert ("error: --policy: 'warp-speed' is not one of 'adaptive', 'default-gpu', "
+                "'serial-fifo', 'serial-priority', 'dp-no-grouping'") in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, field, value", [
         ("sampler", "r_f", 0.0), ("sampler", "r_f", float("inf")),
@@ -566,7 +569,7 @@ class TestSchedule:
                                      key: 90}]))
         rc = main(["schedule", "--tasks", str(path), "--capacity", "10"])
         assert rc == EXIT_INPUT
-        assert f"TaskRecord: unknown key '{key}'" in capsys.readouterr().err
+        assert f"EvolutionTask: unknown key '{key}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value, kind", [
         ("id", 7, "number"), ("id", None, "null"), ("end_id", ["a"], "list"),
@@ -577,7 +580,7 @@ class TestSchedule:
                                      field: value}]))
         rc = main(["schedule", "--tasks", str(path), "--capacity", "10"])
         assert rc == EXIT_INPUT
-        assert f"TaskRecord.{field}: expected a JSON string, got {kind}" in capsys.readouterr().err
+        assert f"EvolutionTask.{field}: expected a JSON string, got {kind}" in capsys.readouterr().err
 
     def test_repeated_id_rejected(self, tmp_path, capsys):
         """Two records with one id: nothing could say which was admitted."""
@@ -612,8 +615,10 @@ class TestSchedule:
         path = tmp_path / "tasks.json"
         path.write_text(json.dumps(records))
         assert main(["schedule", "--tasks", str(path), "--capacity", "12"]) == EXIT_OK
-        want = select_tasks([EvolutionTask("a", "e", 3.0, 70.0, 10.0, 4.0),
-                             EvolutionTask("b", "b", 0.0, 50.0, 8.0, 2.0)], 12.0)
+        want = select_tasks([EvolutionTask(id="a", end_id="e", arrival_t=3.0, urgency=70.0,
+                                           mem_demand=10.0, predicted_t_r=4.0),
+                             EvolutionTask(id="b", end_id="b", arrival_t=0.0, urgency=50.0,
+                                           mem_demand=8.0, predicted_t_r=2.0)], 12.0)
         doc = json.loads(capsys.readouterr().out)
         assert doc == {"selected": list(want.selected), "total_value": want.total_value,
                        "capacity_used": want.capacity_used}

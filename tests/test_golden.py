@@ -50,6 +50,7 @@ from evosched.simenv import (
     write_summary_json,
     write_traces,
 )
+from evosched.scheduler import GroupingConfig, group_number
 
 from test_acceptance import BENCH_DETECTOR, bench_scenario, fc_arch_with_memory
 
@@ -274,6 +275,17 @@ def test_outputs_match_golden_digests(name, tmp_path):
     got = {policy.value: output_digest(replace(base, policy=policy), tmp_path)
            for policy in Policy}
     assert got == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_adaptive_with_one_group_is_dp_no_grouping(name):
+    """Under a grouping with one urgency group the adaptive policy admits
+    as dp-no-grouping does, so the two runs give equal metrics."""
+    grouping = GroupingConfig(sigma=24.0, eps_range=80.0)
+    assert group_number(grouping) == 1
+    base = replace(SCENARIOS[name](), grouping=grouping)
+    assert run(replace(base, policy=Policy.ADAPTIVE)) == \
+        run(replace(base, policy=Policy.DP_NO_GROUPING))
 
 
 def trace_digest(scenario, tmp_path):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -254,6 +254,13 @@ def probe_sets(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(probe_sets())
+# flat, noisy sets whose best fit is near b / c = 4e-8, close to a line
+@example([(2.0, 0.5013429816089117), (4.0, 0.49871473790491844), (8.0, 0.5010383900761413),
+          (10.0, 0.5014915867579779), (12.0, 0.5008032286359743), (32.0, 0.49916759167146874),
+          (56.0, 0.5011149588478583)])
+@example([(2.0, 0.500335226588977), (8.0, 0.5007474719318665), (10.0, 0.5009526610184022),
+          (12.0, 0.49995536977944227), (14.0, 0.5003719366960769), (28.0, 0.49951064239892495),
+          (34.0, 0.5015741792686381)])
 def test_fit_is_no_worse_than_the_nested_search(probes):
     """One search over the direction of (b, c) fits as well as the nested
     searches over b and c, inside the same box."""

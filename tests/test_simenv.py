@@ -441,54 +441,55 @@ class TestBaselineStep:
                                           completion_t=float("inf"), t_r=1.0)
         return p
 
-    def queue(self, groups=(None, None, None)):
-        def task(tid, mem, urg, arr, group):
+    def queue(self):
+        def task(tid, mem, urg, arr):
             return EvolutionTask(id=tid, end_id=tid, arrival_t=arr,
                                  urgency=urg, mem_demand=mem,
-                                 predicted_t_r=10.0, group=group)
-        return [task("a", 3000, 20.0, 0.0, groups[0]),
-                task("b", 6000, 80.0, 1.0, groups[1]),
-                task("c", 1000, 50.0, 2.0, groups[2])]
+                                 predicted_t_r=10.0)
+        return [task("a", 3000, 20.0, 0.0),
+                task("b", 6000, 80.0, 1.0),
+                task("c", 1000, 50.0, 2.0)]
 
     def test_default_gpu_head_of_line(self):
         # "a" fits, "b" does not; admission stops there even though "c" fits
-        shares = admit(Policy.DEFAULT_GPU, self.queue(), self.pool(), 0.0)
+        shares = admit(Policy.DEFAULT_GPU, self.queue(), self.pool(), 0.0, [])
         assert shares == {"a": 8.0}
 
     def test_default_gpu_equal_shares(self):
         # admitting "a" halves the running task's share
         shares = admit(Policy.DEFAULT_GPU, self.queue(),
-                       self.pool(running_mem=100.0), 0.0)
+                       self.pool(running_mem=100.0), 0.0, [])
         assert shares == {"r": 4.0, "a": 4.0}
         # with nothing to admit, a share that is already equal stays put
-        assert admit(Policy.DEFAULT_GPU, (), self.pool(running_mem=100.0), 0.0) == {}
+        assert admit(Policy.DEFAULT_GPU, (), self.pool(running_mem=100.0), 0.0, []) == {}
 
     def test_serial_fifo_one_at_a_time(self):
-        assert admit(Policy.SERIAL_FIFO, self.queue(), self.pool(), 0.0) == {"a": 8.0}
+        assert admit(Policy.SERIAL_FIFO, self.queue(), self.pool(), 0.0, []) == {"a": 8.0}
         assert admit(Policy.SERIAL_FIFO, self.queue(),
-                     self.pool(running_mem=100.0), 0.0) == {}
+                     self.pool(running_mem=100.0), 0.0, []) == {}
 
     def test_serial_priority_highest_urgency(self):
-        assert admit(Policy.SERIAL_PRIORITY, self.queue(), self.pool(), 0.0) == {"b": 8.0}
+        assert admit(Policy.SERIAL_PRIORITY, self.queue(), self.pool(), 0.0, []) == {"b": 8.0}
 
     def test_dp_no_grouping_knapsack(self):
-        shares = admit(Policy.DP_NO_GROUPING, self.queue(), self.pool(), 0.0)
+        shares = admit(Policy.DP_NO_GROUPING, self.queue(), self.pool(), 0.0, [])
         # all three have equal predicted time; max count within 8192 MB
         assert set(shares) == {"a", "c"} or set(shares) == {"b", "c"}
         assert sum(shares.values()) == pytest.approx(8.0)
 
     def test_adaptive_serves_most_urgent_group_first(self):
-        queue = self.queue(groups=(2, 1, 2))
-        # "b" alone forms group 1 and is served although "a" and "c" together
-        # would admit more tasks
-        assert admit(Policy.ADAPTIVE, queue, self.pool(), 0.0) == {"b": 8.0}
+        queue, boundaries = self.queue(), [60.0]
+        # "b" (urgency 80) alone forms group 1 and is served although "a" and
+        # "c" together would admit more tasks
+        assert admit(Policy.ADAPTIVE, queue, self.pool(), 0.0, boundaries) == {"b": 8.0}
         # a group that does not fit falls through to the next one, which
         # splits the free compute in proportion to memory
         pool = self.pool(running_mem=4000.0)
         pool.running["r"].share = 4.0
-        assert admit(Policy.ADAPTIVE, queue, pool, 0.0) == {"a": 3.0, "c": 1.0}
+        assert admit(Policy.ADAPTIVE, queue, pool, 0.0, boundaries) == {"a": 3.0, "c": 1.0}
         # no free compute, no admission
-        assert admit(Policy.ADAPTIVE, queue, self.pool(running_mem=4000.0), 0.0) == {}
+        assert admit(Policy.ADAPTIVE, queue, self.pool(running_mem=4000.0), 0.0,
+                     boundaries) == {}
 
 
 _POOL_MB = 16384.0
@@ -497,7 +498,8 @@ _POOL_COMPUTE = 8.0
 
 @st.composite
 def _admission_state(draw):
-    """A pool whose running tasks fit it, a queue of waiting tasks, and a time."""
+    """A pool whose running tasks fit it, a queue of waiting tasks, a time
+    and urgency group boundaries."""
     pool = GpuPool(mem_capacity=_POOL_MB, compute_capacity=_POOL_COMPUTE)
     running = draw(st.lists(st.tuples(st.floats(100.0, 4000.0), st.floats(0.01, 1.0),
                                       st.floats(0.0, 200.0)), max_size=4))
@@ -510,19 +512,22 @@ def _admission_state(draw):
         EvolutionTask(id=f"q{i}", end_id=f"q{i}", arrival_t=float(i),
                       urgency=draw(st.floats(1.0, 99.0)),
                       mem_demand=draw(st.floats(100.0, 9000.0)),
-                      predicted_t_r=draw(st.floats(1.0, 500.0)),
-                      group=draw(st.integers(1, 3)))
+                      predicted_t_r=draw(st.floats(1.0, 500.0)))
         for i in range(draw(st.integers(0, 6)))
     ]
-    return pool, queue, draw(st.floats(0.0, 200.0))
+    boundaries = sorted(draw(st.lists(st.floats(1.0, 99.0), max_size=3)))
+    return pool, queue, draw(st.floats(0.0, 200.0)), boundaries
 
 
 @settings(max_examples=100, deadline=None)
 @given(state=_admission_state())
 def test_admit_respects_free_memory_and_compute(state):
-    pool, queue, now = state
+    pool, queue, now, boundaries = state
+    # with no boundaries the adaptive rule is the knapsack over the whole queue
+    assert admit(Policy.ADAPTIVE, queue, pool, now, []) == \
+        admit(Policy.DP_NO_GROUPING, queue, pool, now, [])
     for policy in Policy:
-        shares = admit(policy, queue, pool, now)
+        shares = admit(policy, queue, pool, now, boundaries)
         admitted = [task for task in queue if task.id in shares]
         assert set(shares) <= {task.id for task in admitted} | set(pool.running)
         assert sum(task.mem_demand for task in admitted) <= pool.free_memory_at(now)
