@@ -8,7 +8,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 def check_numbers(obj) -> None:
@@ -48,7 +48,9 @@ class LifeCycle:
     """One model life cycle: high-accuracy service followed by an evolution round.
 
     ``t_retrain`` is only the on-server retraining phase; the full evolution
-    time is ``t_upload + t_schedule + t_retrain + t_download``.
+    time is ``t_upload + t_schedule + t_retrain + t_download``.  ``urgency``
+    is the evolving urgency of the round, the cycle's weight in
+    :func:`penalized_average_qoe`.
     """
 
     t_infer: float
@@ -57,6 +59,7 @@ class LifeCycle:
     t_retrain: float
     t_download: float
     avg_accuracy: float
+    urgency: float
 
     def __post_init__(self):
         for name in ("t_infer", "t_upload", "t_schedule", "t_retrain", "t_download"):
@@ -97,7 +100,7 @@ class QoEReport:
 
 def qoe_single(cycle: LifeCycle) -> float:
     """Accuracy-weighted fraction of the life cycle spent in high-quality service."""
-    total = cycle.t_infer + cycle.t_evolve
+    total = cycle.duration
     if total <= 0:
         raise ValueError("life cycle has zero duration")
     return cycle.avg_accuracy * cycle.t_infer / total
@@ -119,46 +122,17 @@ def _population_sd(values: Sequence[float]) -> float:
     return math.sqrt(sum((v - mean) ** 2 for v in values) / n)
 
 
-def penalized_average_qoe(
-    ends: Sequence[tuple],
-    schedule_times: Sequence[float],
-    retrain_times: Sequence[float],
-    weights: tuple[float, float] = (1.0, 1.0),
-) -> QoEReport:
-    """Urgency-weighted average QoE minus dispersion penalties on waiting times.
-
-    ``ends`` is a sequence of ``(urgency, qoe)`` pairs.  The penalty
-    terms are population standard deviations of the scheduling and retraining
-    times, scaled by ``weights`` (see :func:`penalty_weights_for_cycles` for
-    the default normalization used by the simulator).
-    """
-    if not ends:
-        raise ValueError("need at least one end")
-    if not (len(ends) == len(schedule_times) == len(retrain_times)):
-        raise ValueError("ends, schedule_times and retrain_times must have equal length")
-    w_s, w_r = weights
-    q_avg = sum(lam * q for lam, q in ends) / len(ends)
-    sd_s = _population_sd(schedule_times)
-    sd_r = _population_sd(retrain_times)
-    q_t = q_avg - w_s * sd_s - w_r * sd_r
-    return QoEReport(
-        q_avg=q_avg,
-        sd_schedule=sd_s,
-        sd_retrain=sd_r,
-        q_t=q_t,
-    )
-
-
-def penalty_weights_for_cycles(cycles: Iterable[LifeCycle]) -> tuple[float, float]:
-    """Default penalty weights: 1 / mean life-cycle duration for both terms.
-
-    Makes the second-scale dispersion penalties commensurate with the
-    dimensionless urgency-weighted QoE average.
-    """
-    durations = [c.duration for c in cycles]
-    if not durations:
+def penalized_average_qoe(cycles: Sequence[LifeCycle]) -> QoEReport:
+    """Urgency-weighted average QoE of ``cycles`` minus the population standard
+    deviations of their scheduling and retraining times, each weighted by
+    1 / mean life-cycle duration, which makes the second-scale penalties
+    commensurate with the dimensionless average."""
+    if not cycles:
         raise ValueError("need at least one cycle")
-    mean = sum(durations) / len(durations)
-    if mean <= 0:
-        raise ValueError("mean life-cycle duration must be positive")
-    return (1.0 / mean, 1.0 / mean)
+    n = len(cycles)
+    q_avg = sum(c.urgency * qoe_single(c) for c in cycles) / n
+    w = 1.0 / (sum(c.duration for c in cycles) / n)
+    sd_s = _population_sd([c.t_schedule for c in cycles])
+    sd_r = _population_sd([c.t_retrain for c in cycles])
+    return QoEReport(q_avg=q_avg, sd_schedule=sd_s, sd_retrain=sd_r,
+                     q_t=q_avg - w * sd_s - w * sd_r)

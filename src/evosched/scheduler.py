@@ -49,7 +49,7 @@ class GroupingConfig:
     n_max: int = 12             # expected concurrent requests N
     n_min: int = 3              # minimum tasks per group
     eps_range: float = 35.0     # acceptable tail band length
-    sigma: float = 100.0 / 6.0  # urgency model spread
+    sigma: float = 24.0         # urgency model spread
     lambda_min: float = 0.0
     lambda_max: float = 100.0
 

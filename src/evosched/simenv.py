@@ -24,7 +24,6 @@ from .core import (
     UrgencyInput,
     check_numbers,
     penalized_average_qoe,
-    penalty_weights_for_cycles,
     qoe_single,
     urgency,
 )
@@ -151,7 +150,7 @@ class Scenario:
     downlink_mbps: float = 20.0     # MiB per second
     policy: Policy = Policy.ADAPTIVE
     duration: float = 600.0
-    grouping: GroupingConfig = GroupingConfig(sigma=24.0)
+    grouping: GroupingConfig = GroupingConfig()
     sampler: SamplerConfig = SamplerConfig()
     detector: DetectorConfig = DetectorConfig()
     epochs: int = 10
@@ -397,11 +396,12 @@ def synth_regressor_samples(n: int, seed: int) -> List[Tuple[List[float], float]
 
 @dataclass(frozen=True)
 class TaskMetrics(LifeCycle):
-    """The life cycle one finished task closed, with the task that closed it."""
+    """The life cycle one finished task closed, with the task that closed it:
+    its id, its end's id and the time its drift triggered it.  The cycle's
+    ``urgency`` is the task's."""
 
     task_id: str
     end_id: str
-    urgency: float
     trigger_t: float
 
     @property
@@ -693,17 +693,10 @@ class _Sim:
             return SimMetrics(tasks=(), report=None, mean_evolving_time=0.0,
                               mean_t_schedule=0.0, mean_t_retrain=0.0)
         rows = tuple(self.finished)
-        weights = penalty_weights_for_cycles(rows)
-        report = penalized_average_qoe(
-            ends=[(m.urgency, m.qoe) for m in rows],
-            schedule_times=[m.t_schedule for m in rows],
-            retrain_times=[m.t_retrain for m in rows],
-            weights=weights,
-        )
         n = len(rows)
         return SimMetrics(
             tasks=rows,
-            report=report,
+            report=penalized_average_qoe(rows),
             mean_evolving_time=sum(m.t_evolve for m in rows) / n,
             mean_t_schedule=sum(m.t_schedule for m in rows) / n,
             mean_t_retrain=sum(m.t_retrain for m in rows) / n,

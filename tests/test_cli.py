@@ -59,6 +59,23 @@ class TestSimulate:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["policy"] == "serial-fifo"
 
+    def test_partial_grouping_takes_the_scenario_default(self, scenario_path, tmp_path):
+        """A ``grouping`` section without ``sigma`` gives the adaptive run the
+        bytes an absent section gives."""
+        doc = json.loads(scenario_path.read_text())
+        partial, absent = tmp_path / "partial.json", tmp_path / "absent.json"
+        partial.write_text(json.dumps({**doc, "grouping": {"n_max": 12}}))
+        del doc["grouping"]
+        absent.write_text(json.dumps(doc))
+        outputs = []
+        for path in (partial, absent):
+            out = tmp_path / path.stem
+            assert main(["simulate", "--scenario", str(path), "--policy", "adaptive",
+                         "--out", str(out)]) == EXIT_OK
+            outputs.append([(out / name).read_bytes()
+                            for name in ("metrics.csv", "summary.json")])
+        assert outputs[0] == outputs[1]
+
     def test_out_dir_env(self, scenario_path, tmp_path, monkeypatch):
         out = tmp_path / "env-out"
         monkeypatch.setenv(OUT_DIR_ENV, str(out))

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evosched.core import (
     LifeCycle,
+    QoEReport,
     UrgencyInput,
     penalized_average_qoe,
-    penalty_weights_for_cycles,
     qoe_single,
     urgency,
 )
@@ -16,7 +18,36 @@ from evosched.core import (
 def make_cycle(t_infer, t_retrain_total, acc, t_upload=0.0, t_download=0.0):
     t_r = t_retrain_total - t_upload - t_download
     return LifeCycle(t_infer=t_infer, t_upload=t_upload, t_schedule=0.0,
-                     t_retrain=t_r, t_download=t_download, avg_accuracy=acc)
+                     t_retrain=t_r, t_download=t_download, avg_accuracy=acc,
+                     urgency=50.0)
+
+
+def cycle(urgency, t_infer, t_schedule, t_retrain, acc, t_upload=0.0, t_download=0.0):
+    return LifeCycle(t_infer=t_infer, t_upload=t_upload, t_schedule=t_schedule,
+                     t_retrain=t_retrain, t_download=t_download, avg_accuracy=acc,
+                     urgency=urgency)
+
+
+def reference_penalized_average_qoe(cycles):
+    """The objective as the simulator computed it while it took the cycles
+    apart: weights 1 / mean duration, then the urgency-weighted average of
+    each cycle's QoE minus the weighted population SDs of the scheduling and
+    retraining times."""
+    durations = [c.duration for c in cycles]
+    mean = sum(durations) / len(durations)
+    w_s, w_r = 1.0 / mean, 1.0 / mean
+    ends = [(c.urgency, c.avg_accuracy * c.t_infer / (c.t_infer + c.t_evolve))
+            for c in cycles]
+
+    def population_sd(values):
+        m = sum(values) / len(values)
+        return math.sqrt(sum((v - m) ** 2 for v in values) / len(values))
+
+    q_avg = sum(lam * q for lam, q in ends) / len(ends)
+    sd_s = population_sd([c.t_schedule for c in cycles])
+    sd_r = population_sd([c.t_retrain for c in cycles])
+    return QoEReport(q_avg=q_avg, sd_schedule=sd_s, sd_retrain=sd_r,
+                     q_t=q_avg - w_s * sd_s - w_r * sd_r)
 
 
 class TestQoeSingle:
@@ -29,7 +60,8 @@ class TestQoeSingle:
     def test_reference_durations(self):
         # t_u + t_s + t_r + t_d = 3.9 + 0 + 45.5 + 19.9 = 69.3
         cycle = LifeCycle(t_infer=330.7, t_upload=3.9, t_schedule=0.0,
-                          t_retrain=45.5, t_download=19.9, avg_accuracy=0.7)
+                          t_retrain=45.5, t_download=19.9, avg_accuracy=0.7,
+                          urgency=50.0)
         assert cycle.t_evolve == pytest.approx(69.3)
         assert qoe_single(cycle) == pytest.approx(0.579, abs=5e-4)
 
@@ -45,7 +77,7 @@ class TestQoeSingle:
 
     def test_evolve_decomposition_identity(self):
         c = LifeCycle(t_infer=10, t_upload=1, t_schedule=2, t_retrain=3,
-                      t_download=4, avg_accuracy=0.5)
+                      t_download=4, avg_accuracy=0.5, urgency=50.0)
         assert c.t_evolve == pytest.approx(1 + 2 + 3 + 4)
 
 
@@ -79,69 +111,72 @@ class TestUrgency:
 
 class TestPenalizedAverage:
     def test_single_end_no_dispersion(self):
-        rep = penalized_average_qoe([(50.0, 0.5)], [12.0], [34.0])
+        c = cycle(50.0, 300.0, 12.0, 34.0, 0.5)
+        rep = penalized_average_qoe([c])
         assert rep.sd_schedule == 0.0
         assert rep.sd_retrain == 0.0
-        assert rep.q_t == pytest.approx(50.0 * 0.5)
+        assert rep.q_t == pytest.approx(50.0 * qoe_single(c))
 
     def test_identical_ends(self):
-        rep = penalized_average_qoe(
-            [(50.0, 0.5), (50.0, 0.5)], [10, 10], [20, 20])
-        assert rep.q_avg == pytest.approx(25.0)
-        assert rep.q_t == pytest.approx(25.0)
+        c = cycle(50.0, 300.0, 10.0, 20.0, 0.5)
+        rep = penalized_average_qoe([c, c])
+        assert rep.q_avg == pytest.approx(50.0 * qoe_single(c))
+        assert rep.q_t == pytest.approx(rep.q_avg)
 
     def test_hand_example(self):
-        rep = penalized_average_qoe(
-            [(50.0, 0.4), (100.0, 0.6)], [0, 10], [20, 40],
-            weights=(1.0, 1.0))
-        assert rep.q_avg == pytest.approx(40.0)
-        assert rep.sd_schedule == pytest.approx(5.0)
-        assert rep.sd_retrain == pytest.approx(10.0)
-        assert rep.q_t == pytest.approx(25.0)
+        # durations 64 and 192 s: both weights are exactly 1 / 128
+        a = cycle(50.0, 32.0, 0.0, 20.0, 0.5, t_download=12.0)    # qoe 0.25
+        b = cycle(100.0, 96.0, 10.0, 40.0, 1.0, t_download=46.0)  # qoe 0.5
+        rep = penalized_average_qoe([a, b])
+        assert rep.q_avg == 31.25
+        assert rep.sd_schedule == 5.0
+        assert rep.sd_retrain == 10.0
+        assert rep.q_t == 31.25 - 15.0 / 128.0
 
     def test_invariant_holds(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             n = rng.integers(1, 8)
-            ends = [(float(rng.uniform(1, 99)), float(rng.uniform(0, 1)))
-                    for _ in range(n)]
-            ts = rng.uniform(0, 50, n).tolist()
-            tr = rng.uniform(0, 200, n).tolist()
-            w = (float(rng.uniform(0, 2)), float(rng.uniform(0, 2)))
-            rep = penalized_average_qoe(ends, ts, tr, weights=w)
+            cycles = [cycle(float(rng.uniform(1, 99)), float(rng.uniform(1, 500)),
+                            float(rng.uniform(0, 50)), float(rng.uniform(0, 200)),
+                            float(rng.uniform(0, 1))) for _ in range(n)]
+            w = n / sum(c.duration for c in cycles)
+            rep = penalized_average_qoe(cycles)
             assert rep.q_t == pytest.approx(
-                rep.q_avg - w[0] * rep.sd_schedule - w[1] * rep.sd_retrain)
+                rep.q_avg - w * rep.sd_schedule - w * rep.sd_retrain)
 
     def test_permutation_invariance(self):
-        ends = [(30.0, 0.2), (60.0, 0.5), (90.0, 0.9)]
-        ts, tr = [1.0, 5.0, 9.0], [10.0, 20.0, 30.0]
-        rep1 = penalized_average_qoe(ends, ts, tr)
-        perm = [2, 0, 1]
-        rep2 = penalized_average_qoe([ends[i] for i in perm],
-                                     [ts[i] for i in perm],
-                                     [tr[i] for i in perm])
+        cycles = [cycle(30.0, 100.0, 1.0, 10.0, 0.2), cycle(60.0, 200.0, 5.0, 20.0, 0.5),
+                  cycle(90.0, 300.0, 9.0, 30.0, 0.9)]
+        rep1 = penalized_average_qoe(cycles)
+        rep2 = penalized_average_qoe([cycles[i] for i in (2, 0, 1)])
         assert rep1.q_t == pytest.approx(rep2.q_t)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            penalized_average_qoe([], [], [])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            penalized_average_qoe([(50.0, 0.5)], [1.0, 2.0], [3.0])
+            penalized_average_qoe([])
 
 
-def test_default_penalty_weights():
-    cycles = [make_cycle(300, 100, 0.5), make_cycle(100, 100, 0.5)]
-    w_s, w_r = penalty_weights_for_cycles(cycles)
-    assert w_s == pytest.approx(1.0 / 300.0)
-    assert w_r == w_s
+_times = st.floats(0.0, 1e5)
+_cycles = st.lists(st.builds(
+    LifeCycle, t_infer=st.floats(1e-3, 1e5), t_upload=_times, t_schedule=_times,
+    t_retrain=_times, t_download=_times, avg_accuracy=st.floats(0.0, 1.0),
+    urgency=st.floats(1e-3, 100.0, exclude_max=True)), min_size=1, max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cycles)
+def test_objective_matches_the_reference_bit_for_bit(cycles):
+    got = penalized_average_qoe(cycles)
+    want = reference_penalized_average_qoe(cycles)
+    assert got == want
+    assert repr(got) == repr(want)
 
 
 def test_lifecycle_validation():
     with pytest.raises(ValueError):
         LifeCycle(t_infer=-1, t_upload=0, t_schedule=0, t_retrain=0,
-                  t_download=0, avg_accuracy=0.5)
+                  t_download=0, avg_accuracy=0.5, urgency=50.0)
     with pytest.raises(ValueError):
         LifeCycle(t_infer=1, t_upload=0, t_schedule=0, t_retrain=0,
-                  t_download=0, avg_accuracy=1.5)
+                  t_download=0, avg_accuracy=1.5, urgency=50.0)

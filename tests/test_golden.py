@@ -28,12 +28,18 @@ The codec digests pin the files ``save_scenario`` writes for the seven
 scenarios and ``write_arch_json`` writes for each distinct architecture in
 them; all but fleet-like-7's were recorded while every codec still named each
 field by hand.
+
+Beside the digests, ``summary.json`` is checked to follow, bit for bit, from
+the life cycles ``metrics.csv`` holds.
 """
+import csv
 import hashlib
-from dataclasses import replace
+import json
+from dataclasses import asdict, fields, replace
 
 import pytest
 
+from evosched.core import penalized_average_qoe, qoe_single
 from evosched.drift import DetectorConfig, DriftType
 from evosched.profiler import (
     MB, AccuracyCurve, LayerKind, LayerSpec, ModelArch, write_arch_json,
@@ -44,6 +50,7 @@ from evosched.simenv import (
     Policy,
     Scenario,
     ServerSpec,
+    TaskMetrics,
     run,
     save_scenario,
     write_metrics_csv,
@@ -275,6 +282,45 @@ def test_outputs_match_golden_digests(name, tmp_path):
     got = {policy.value: output_digest(replace(base, policy=policy), tmp_path)
            for policy in Policy}
     assert got == DIGESTS[name]
+
+
+def read_metrics_csv(path):
+    """``(TaskMetrics, qoe)`` for each row of the ``metrics.csv`` file ``path``."""
+    kinds = {f.name: f.type for f in fields(TaskMetrics)}
+    rows = []
+    with open(path, newline="") as fh:
+        for rec in csv.DictReader(fh):
+            qoe = float(rec.pop("qoe"))
+            rows.append((TaskMetrics(**{k: v if kinds[k] == "str" else float(v)
+                                        for k, v in rec.items()}), qoe))
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_summary_follows_from_metrics_csv(name, tmp_path):
+    """Every float of ``summary.json`` is, bit for bit, the objective or a
+    mean of the life cycles that ``metrics.csv`` holds, and each row's
+    ``qoe`` is that cycle's."""
+    base = SCENARIOS[name]()
+    for policy in Policy:
+        sc = replace(base, policy=policy)
+        metrics = run(sc)
+        write_metrics_csv(tmp_path / "metrics.csv", metrics)
+        write_summary_json(tmp_path / "summary.json", metrics, sc)
+        rows = read_metrics_csv(tmp_path / "metrics.csv")
+        assert rows, policy
+        for m, qoe in rows:
+            assert repr(qoe) == repr(qoe_single(m)), (policy, m)
+        cycles = [m for m, _ in rows]
+        n = len(cycles)
+        want = {"policy": policy.value, "seed": sc.seed, "n_tasks": n,
+                "mean_evolving_time": sum(m.t_evolve for m in cycles) / n,
+                "mean_t_schedule": sum(m.t_schedule for m in cycles) / n,
+                "mean_t_retrain": sum(m.t_retrain for m in cycles) / n,
+                **asdict(penalized_average_qoe(cycles))}
+        got = json.loads((tmp_path / "summary.json").read_text())
+        assert {k: repr(v) for k, v in got.items()} == \
+            {k: repr(v) for k, v in want.items()}, policy
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

@@ -944,6 +944,8 @@ class TestScenarioJson:
         want = Scenario(seed=3, ends=(MobileEndSpec(end_id="e", arch=tiny_arch(),
                                                     drift_events=(event,)),))
         assert scenario_from_json(doc) == want
+        doc["grouping"] = {}
+        assert scenario_from_json(doc) == want
         del doc["ends"][0]["drift_events"]
         assert scenario_from_json(doc) == replace(
             want, ends=(replace(want.ends[0], drift_events=()),))
