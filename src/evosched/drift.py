@@ -18,7 +18,6 @@ from enum import Enum
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .core import check_numbers
 
@@ -67,7 +66,13 @@ class FrameTrace(abc.Sequence):
     ``stop - 1`` of that array: a read calls it for the rows from the first
     not drawn yet to the last the read needs, so a trace draws its features
     only as far as it has been read, and each row once.  ``clc_sum`` is
-    computed on its first read.  The checks :class:`FrameRecord` makes,
+    computed on its first read.  Next to it the trace keeps, for each frame
+    and :class:`DetectorConfig` from which :func:`first_drift` searched for
+    a settled temp window, the frame where it settled or ``None`` if it does
+    not before the trace ends; the search reads the CLC from that frame on
+    only, so what it found holds for every later call, from any start frame
+    and for any policy that armed the detector.  A window keeps its own.
+    The checks :class:`FrameRecord` makes,
     strictly increasing times, one value per frame in every column and one
     feature vector per frame and category are made once for the whole
     trace, the last on the rows as they are drawn.  Indexing, slicing and
@@ -96,6 +101,7 @@ class FrameTrace(abc.Sequence):
         self.clc = cc * lc  # what clc() gives for each frame
         self.categories = tuple(categories)
         self._clc_sum = None
+        self._settles = {}  # (t1 frame, DetectorConfig) -> t3 frame or None
         for column in (t, cc, lc, pixel_diff, self.clc):
             column.flags.writeable = False
         if callable(features):
@@ -150,6 +156,7 @@ class FrameTrace(abc.Sequence):
         sub.categories = self.categories
         sub._draw = lambda start, stop: self._features_to(lo + stop)[lo + start:lo + stop]
         sub._drawn = sub._clc_sum = None
+        sub._settles = {}
         return sub
 
     def __len__(self) -> int:
@@ -348,15 +355,20 @@ def first_drift(trace: FrameTrace, start: int,
     that emits it; ``None`` if it emits none.
 
     A pre-test reads the trailing window's sums off ``trace.clc_sum`` and
-    finds the first frame where the rod test can hold: where the window's
-    mean is at most (1 - ``rod_threshold``) times the exact reference mean,
-    give or take a margin for rounding.  With no such frame the detector
-    never drifts, and the answer is ``None`` without a scan.  Otherwise an
-    exact scan repeats the detector's arithmetic float for float over the
-    frames up to that one and ``4 * (window + temp)`` more; an event depends
-    on the frames up to its own only, so only while the temp window has not
-    settled within that span is the span doubled and scanned again.  The
-    exact scan alone decides.
+    finds the frames where the rod test can hold: where the window's mean
+    is at most (1 - ``rod_threshold``) times the exact reference mean, give
+    or take a margin for rounding.  With no such frame the detector never
+    drifts, and the answer is ``None`` without a scan.  Otherwise the
+    detector's running sum, repeated float for float, is tested at those
+    frames only, in order, and the first that passes is t1.  From t1 until
+    its temp window settles the detector reads the CLC of the frames from t1
+    on and nothing else: not the start frame, not its reference window, and
+    not the policy of a simulation, which only picks the start.  So the
+    settle first found from a t1 frame under a config, or a search that
+    reached the end of the trace without one, holds for every later call:
+    ``trace`` keeps it (see :class:`FrameTrace`), and a call that drifts at
+    a kept frame reads it back without a search.  Only the event's d and d0
+    read the reference window.
     """
     if start < 0:
         raise ValueError("start must be a frame index")
@@ -367,7 +379,7 @@ def first_drift(trace: FrameTrace, start: int,
     ref_mean = sum(trace.clc[start:ref].tolist()) / w
     if ref_mean <= 0:
         return None
-    # The trailing sum at frame k taken from the cumulative sum and the scan's
+    # The trailing sum at frame k taken from the cumulative sum and the
     # running sum each add at most 2 * (n + w) CLC values in [0, 1], and each
     # addition rounds by at most eps / 2 times a partial sum of at most
     # n + w: both are within eps * (n + w) ** 2 of the true sum.  The rod
@@ -380,78 +392,97 @@ def first_drift(trace: FrameTrace, start: int,
     cum = trace.clc_sum
     # frames k - w + 1 .. k for k = ref + w - 1, ..., n - 1
     can_drop = cum[ref + w:] - cum[ref:n + 1 - w] <= w * (1 - thr) * ref_mean + margin
-    first = int(can_drop.argmax())
-    if not can_drop[first]:
+    t1_at = _first_drop(trace.clc, ref, ref_mean, can_drop, config)
+    if t1_at is None:
         return None
-    stop = ref + w + first + 4 * (w + config.temp_window_frames)
-    while True:
-        stop = min(n, stop)
-        found = _scan(trace, start, stop, ref_mean, config)
-        if found is not None or stop == n:
-            return found
-        stop = start + 2 * (stop - start)
+    key = (t1_at, config)
+    if key not in trace._settles:
+        trace._settles[key] = _settle(trace.clc, t1_at, config)
+    t3_at = trace._settles[key]
+    if t3_at is None:
+        return None
+    return _event(trace, start, t1_at, t3_at + 1 - config.temp_window_frames, t3_at, config)
 
 
-def _scan(trace: FrameTrace, start: int, stop: int, ref_mean: float,
-          cfg: DetectorConfig) -> Optional[Tuple[int, DriftEvent]]:
-    """:func:`first_drift` over frames ``start`` to ``stop - 1`` only, for a
-    positive reference mean ``ref_mean`` and ``stop >= start + 2 * window``."""
+def _first_drop(v: np.ndarray, ref: int, ref_mean: float, can_drop: np.ndarray,
+                cfg: DetectorConfig) -> Optional[int]:
+    """The first frame at which a detector whose reference window ends at
+    frame ``ref - 1``, with the positive mean ``ref_mean``, and whose
+    trailing window follows it drifts: the first frame ``ref + w - 1 + i``
+    with ``can_drop[i]`` that passes the exact rod test; ``None`` if none
+    does.  The test runs at those frames only and stops at the first pass."""
     w = cfg.window_frames
-    v = trace.clc
-    ref = start + w
+    head = ref + w - 1  # the trailing window's first full frame
     # The trailing window's running sum, ``-= oldest`` then ``+= newest`` per
-    # frame, is one strictly left-to-right accumulation.
-    old, new = v[ref:stop - w], v[ref + w:stop]
-    steps = np.empty(w + 2 * len(new))
-    steps[:w] = v[ref:ref + w]
-    steps[w::2] = -old
-    steps[w + 1::2] = new
-    mean2 = np.add.accumulate(steps)[w - 1::2] / w  # at frames ref + w - 1 ...
-    dropped = ((ref_mean - mean2) / ref_mean >= cfg.rod_threshold).nonzero()[0]
-    if not len(dropped):
-        return None
-    t1_at = ref + w - 1 + int(dropped[0])
+    # frame, is one strictly left-to-right accumulation, carried from one
+    # tested frame to the next.
+    steps, at, i = v[ref:head + 1], head, 0
+    while i < len(can_drop):
+        i += int(can_drop[i:].argmax())
+        if not can_drop[i]:
+            return None
+        k = head + i
+        run = np.empty(len(steps) + 2 * (k - at))
+        run[:len(steps)] = steps
+        run[len(steps)::2] = -v[at + 1 - w:k + 1 - w]
+        run[len(steps) + 1::2] = v[at + 1:k + 1]
+        np.add.accumulate(run, out=run)
+        if (ref_mean - run[-1] / w) / ref_mean >= cfg.rod_threshold:
+            return k
+        steps, at, i = run[-1:], k, i + 1
+    return None
 
-    # The detector's prefix sums of CLC from t1 on, and the mean of the
-    # sub-window at each offset j: (prefix[j + sub] - prefix[j]) / sub.
+
+def _settle(v: np.ndarray, t1_at: int, cfg: DetectorConfig) -> Optional[int]:
+    """The frame at which a detector that drifted at frame ``t1_at`` of a
+    trace with CLC values ``v`` sees its temp window settle, t3; ``None`` if
+    it does not before the trace ends.  The frames from t1 on are read a
+    span at a time, ``4 * (window + temp)`` frames and then twice as many
+    as the last, so that the search ends soon after the first settle."""
     temp, parts = cfg.temp_window_frames, cfg.sub_windows
     sub = temp // parts
     # With n frames since t1 (n >= 2, from the frame after t1 on), the temp
-    # window's sub-window means are means[n - temp + i * sub], i < parts.
-    first_n, last_n = max(temp, 2), stop - t1_at
-    if last_n < first_n:
-        return None
-    prefix = np.empty(last_n + 1)
-    prefix[0] = 0.0
-    np.add.accumulate(v[t1_at:stop], out=prefix[1:])
-    means = (prefix[sub:] - prefix[:-sub]) / sub
-    # windows[i, row]: sub-window i's mean at n = first_n + row, for every n
-    # up to last_n; the last one is means[-1].
-    count = last_n - first_n + 1
-    windows = as_strided(means[first_n - temp:], (parts, count),
-                         (sub * means.strides[0], means.strides[0]), writeable=False)
+    # window's sub-window means are means[n - temp + i * sub], i < parts,
+    # where means[j] = (prefix[j + sub] - prefix[j]) / sub is the mean of
+    # the sub-window at offset j from the detector's prefix sums of CLC.
+    first_n, rest = max(temp, 2), len(v) - t1_at
     # These sums run in another order than the detector's, which may call a
     # compensated sum, and numpy squares by multiplying where the detector
     # calls pow: they can differ from its values by a few ulps, or by about
     # (parts * eps) ** 2 near a variance of 0, as CLC means are at most 1.
-    # Frames below the margin are candidates, and the detector's own
+    # Rows below the margin are candidates, and the detector's own
     # expression on Python floats decides.  The rows are tested in blocks,
-    # a temp window's worth and then twice as many as the last, so that the
-    # search ends soon after the first settle.
+    # a temp window's worth and then twice as many as the last.
     margin = cfg.variance_threshold * (1 + 1e-9) + (2 * parts * _EPS) ** 2
-    lo, size = 0, temp
-    while lo < count:
-        block = windows[:, lo:lo + size]
-        deviation = block - np.add.reduce(block) / parts
-        deviation *= deviation
-        for row in (np.add.reduce(deviation) / parts < margin).nonzero()[0].tolist():
-            n = first_n + lo + row
-            window = means[n - temp:n:sub].tolist()
-            grand_n = sum(window) / len(window)
-            if sum((m - grand_n) ** 2 for m in window) / len(window) < cfg.variance_threshold:
-                return _event(trace, start, t1_at, t1_at + n - temp, t1_at + n - 1, cfg)
-        lo, size = lo + size, 2 * size
-    return None
+    span, lo, size = 4 * (cfg.window_frames + temp), 0, temp
+    while True:
+        last_n = min(rest, span)
+        if last_n < first_n:
+            return None
+        prefix = np.empty(last_n + 1)
+        prefix[0] = 0.0
+        np.add.accumulate(v[t1_at:t1_at + last_n], out=prefix[1:])
+        means = (prefix[sub:] - prefix[:-sub]) / sub
+        # windows[i, row]: sub-window i's mean at n = first_n + row, for
+        # every n up to last_n; the last one is means[-1].
+        count = last_n - first_n + 1
+        windows = np.ndarray((parts, count), buffer=means,
+                             offset=(first_n - temp) * means.itemsize,
+                             strides=(sub * means.itemsize, means.itemsize))
+        while lo < count:
+            block = windows[:, lo:lo + size]
+            deviation = block - np.add.reduce(block) / parts
+            deviation *= deviation
+            for row in (np.add.reduce(deviation) / parts < margin).nonzero()[0].tolist():
+                n = first_n + lo + row
+                window = means[n - temp:n:sub].tolist()
+                grand_n = sum(window) / len(window)
+                if sum((m - grand_n) ** 2 for m in window) / len(window) < cfg.variance_threshold:
+                    return t1_at + n - 1
+            lo, size = lo + block.shape[1], 2 * size
+        if last_n == rest:
+            return None
+        span *= 2
 
 
 def _event(trace: FrameTrace, start: int, t1_at: int, t2_at: int, t3_at: int,

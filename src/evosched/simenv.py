@@ -12,6 +12,7 @@ import csv
 import functools
 import heapq
 import math
+import operator
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -447,16 +448,26 @@ class _AccuracyModel:
 
     def mean_over(self, a: float, b: float) -> float:
         """Exact time-weighted mean over [a, b] (trapezoid on breakpoints,
-        including points where the floor clamp engages)."""
+        including points where the floor clamp engages).
+
+        Only the decays with ``lo <= b`` and ``hi > min(a, anchor)`` are
+        read, which gives the same floats as reading all.  Any other decay
+        has no breakpoint inside (a, b), and its overlap
+        ``min(t, hi) - max(anchor, lo)`` is at most 0 at every point
+        evaluated: a decay ending by the anchor overlaps nothing, and one
+        starting past b overlaps nothing up to the float after b, the
+        farthest a floor crossing in the last segment can round to."""
         if b <= a:
             return self.at(a)
+        since = min(a, self._anchor_t)
+        decays = [d for d in self._decays if d[0] <= b and d[1] > since]
         points = {a, b}
-        for lo, hi, _ in self._decays:
+        for lo, hi, _ in decays:
             for p in (lo, hi):
                 if a < p < b:
                     points.add(p)
         grid = sorted(points)
-        values = [self._unclamped(p) for p in grid]
+        values = [self._unclamped(p, decays) for p in grid]
         accuracy = {p: max(ACCURACY_FLOOR, v) for p, v in zip(grid, values)}
         # clamp crossings: within each segment the unclamped value is linear
         for left, right, va, vb in zip(grid, grid[1:], values, values[1:]):
@@ -464,16 +475,18 @@ class _AccuracyModel:
                 frac = (va - ACCURACY_FLOOR) / (va - vb)
                 cross = left + frac * (right - left)
                 if cross not in accuracy:
-                    accuracy[cross] = self.at(cross)
+                    accuracy[cross] = max(ACCURACY_FLOOR, self._unclamped(cross, decays))
         grid = sorted(accuracy)
         total = 0.0
         for left, right in zip(grid, grid[1:]):
             total += (accuracy[left] + accuracy[right]) / 2.0 * (right - left)
         return total / (b - a)
 
-    def _unclamped(self, t: float) -> float:
+    def _unclamped(self, t: float, decays=None) -> float:
+        """The accuracy at ``t`` before the floor, from ``decays``: all of
+        the end's when not given."""
         drop = 0.0
-        for lo, hi, rate in self._decays:
+        for lo, hi, rate in self._decays if decays is None else decays:
             overlap = min(t, hi) - max(self._anchor_t, lo)
             if overlap > 0:
                 drop += rate * overlap
@@ -815,9 +828,8 @@ def write_metrics_csv(path, metrics: SimMetrics) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRICS_COLUMNS)
-        for m in metrics.tasks:
-            values = [getattr(m, column) for column in METRICS_COLUMNS]
-            writer.writerow([v if isinstance(v, str) else repr(v) for v in values])
+        # csv writes a float as str(), which is its repr
+        writer.writerows(map(operator.attrgetter(*METRICS_COLUMNS), metrics.tasks))
 
 
 def write_summary_json(path, metrics: SimMetrics, scenario: Scenario) -> None:

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 from dataclasses import replace
@@ -632,7 +633,13 @@ def test_first_drift_matches_streaming_detector(case, data):
     if data.draw(st.booleans(), label="rod threshold on a realised drop"):
         drops = [r for r in _realised_rods(frames, cfg) if r > 0]
         if drops:
-            cfg = replace(cfg, rod_threshold=max(drops))
+            drop = max(drops) if data.draw(st.booleans(), label="the largest") else (
+                data.draw(st.sampled_from(drops), label="drop"))
+            # The float above a drop: the frames with that drop pass the
+            # pre-test and fail the exact test.
+            if data.draw(st.booleans(), label="the float above it"):
+                drop = math.nextafter(drop, math.inf)
+            cfg = replace(cfg, rod_threshold=drop)
     if data.draw(st.booleans(), label="variance threshold on a realised variance"):
         variances = _realised_variances(frames, replace(cfg, variance_threshold=1e-300))
         lows = [v for k, v in enumerate(variances) if v > 0 and v <= min(variances[:k + 1])]
@@ -640,3 +647,56 @@ def test_first_drift_matches_streaming_detector(case, data):
             cfg = replace(cfg, variance_threshold=data.draw(st.sampled_from(lows)))
     got, want = _scan_events(trace, start, cfg), _stream_events(trace, start, cfg)
     assert got == want and repr(got) == repr(want)
+
+
+# --- the settle a trace keeps ---------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _scenario_traces():
+    """Each end's trace in criterion 8's scenario and in the whole-second
+    golden scenario, with two detector configs: the scenario's, and one with
+    the same window and rod threshold, so that from every start frame both
+    drift at the same frame, but a temp window of three single frames and a
+    variance threshold so low that it settles rarely, often past the first
+    span of the settle search and at times not before the trace ends."""
+    from test_acceptance import bench_scenario
+    from test_golden import whole_second_scenario
+
+    from evosched.simenv import gen_trace
+    cases = []
+    for sc in (bench_scenario(0), whole_second_scenario()):
+        strict = replace(sc.detector, temp_window_frames=3, sub_windows=3,
+                         variance_threshold=3e-7)
+        cases += [(gen_trace(spec, sc.seed, i, sc.duration, sc.sampler), (sc.detector, strict))
+                  for i, spec in enumerate(sc.ends)]
+    return tuple(cases)
+
+
+@functools.lru_cache(maxsize=None)
+def _fresh_results(which):
+    """``first_drift`` from every start frame of trace ``which`` under each
+    of its configs, each call on a trace no call has read before."""
+    trace, configs = _scenario_traces()[which]
+    return tuple(tuple(first_drift(trace.window(0, len(trace)), start, cfg)
+                       for start in range(len(trace)))
+                 for cfg in configs)
+
+
+@settings(max_examples=16, deadline=None)
+@given(which=st.integers(0, 7), order=st.sampled_from(["up", "down", "shuffled"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_settle_cache_matches_fresh_traces(which, order, seed):
+    """``first_drift`` from every start frame under both configs, in a drawn
+    order, on one trace that keeps the settles it finds: each result is the
+    one a fresh trace gives."""
+    trace, configs = _scenario_traces()[which]
+    trace = trace.window(0, len(trace))  # keeps no settle yet
+    calls = [(start, k) for start in range(len(trace)) for k in range(len(configs))]
+    if order == "down":
+        calls.reverse()
+    elif order == "shuffled":
+        calls = [calls[i] for i in np.random.default_rng(seed).permutation(len(calls))]
+    fresh = _fresh_results(which)
+    for start, k in calls:
+        got, want = first_drift(trace, start, configs[k]), fresh[k][start]
+        assert got == want and repr(got) == repr(want), (start, k)

@@ -412,21 +412,33 @@ def reference_mean_over(model, a, b):
 _times = st.floats(0.0, 600.0) | st.sampled_from([0.0, 100.0, 150.0])
 
 
+@st.composite
+def _mean_over_case(draw):
+    """Decays as (start, length, rate), an anchor, its value, and an
+    interval [a, b] whose ends may fall on the anchor or a breakpoint."""
+    decays = draw(st.lists(st.tuples(_times, st.sampled_from([0.0, 50.0]) | st.floats(0.0, 200.0),
+                                     st.sampled_from([0.002, 0.02]) | st.floats(0.0, 0.05)),
+                           max_size=6))
+    anchor, value = draw(_times), draw(st.floats(0.0, 1.0))
+    ends = [anchor] + [p for lo, length, _ in decays for p in (lo, lo + length)]
+    a = draw(_times | st.sampled_from(ends), label="a")
+    b = draw(_times | st.sampled_from(ends) | st.floats(a, a + 400.0), label="b")
+    return decays, anchor, value, a, b
+
+
 @settings(max_examples=400, deadline=None)
-@given(decays=st.lists(st.tuples(_times, st.sampled_from([0.0, 50.0]) | st.floats(0.0, 200.0),
-                                 st.sampled_from([0.002, 0.02]) | st.floats(0.0, 0.05)),
-                       max_size=6),
-       anchor=_times, value=st.floats(0.0, 1.0), data=st.data())
-def test_mean_over_matches_reference(decays, anchor, value, data):
+@given(case=_mean_over_case())
+# A decay that ends before the anchor overlaps nothing, but its breakpoints
+# inside (a, b) split the trapezoid sum: 0.30000000000000004, not 0.3.
+@example(case=([(10.0, 50.0, 0.02)], 100.0, 0.3, 7.1, 431.9))
+def test_mean_over_matches_reference(case):
     """Overlapping, zero-length and unordered decays, anchors before, inside
     and after them, intervals that cross the accuracy floor, and interval
     ends on breakpoints: the same floats as the reference."""
+    decays, anchor, value, a, b = case
     model = _AccuracyModel(sudden_end())
     model._decays = [(lo, lo + length, rate) for lo, length, rate in decays]
     model.restore(anchor, value)
-    ends = [anchor] + [p for lo, hi, _ in model._decays for p in (lo, hi)]
-    a = data.draw(_times | st.sampled_from(ends), label="a")
-    b = data.draw(_times | st.sampled_from(ends) | st.floats(a, a + 400.0), label="b")
     got, want = model.mean_over(a, b), reference_mean_over(model, a, b)
     assert got == want and repr(got) == repr(want)
 
