@@ -53,7 +53,35 @@ class FrameRecord:
 
 def _span(column: np.ndarray) -> Tuple[float, float]:
     """The least and the greatest value of a column; 0 and 0 when it is empty."""
-    return (column.min(), column.max()) if len(column) else (0.0, 0.0)
+    return (column.min(), column.max()) if column.size else (0.0, 0.0)
+
+
+def _check_columns(t, cc, lc, pixel_diff, shape: Tuple[int, ...]) -> None:
+    """The checks :class:`FrameRecord` makes and strictly increasing times,
+    made once on the columns of one trace or of a block of traces over the
+    times ``t``: ``cc``, ``lc`` and ``pixel_diff`` must be of ``shape``,
+    one value per frame or one row of them per trace.  ValueError if not."""
+    if t.shape != shape[-1:] or any(column.shape != shape for column in (cc, lc, pixel_diff)):
+        raise ValueError("t, cc, lc and pixel_diff must hold one value per frame")
+    # A NaN makes a column's least and greatest value NaN, so it fails
+    # every comparison below.
+    lo, hi = _span(t)
+    if not -math.inf < lo <= hi < math.inf:
+        raise ValueError("t must be finite")
+    for column in (cc,) if lc is cc else (cc, lc):
+        lo, hi = _span(column)
+        if not 0.0 <= lo <= hi <= 1.0:
+            raise ValueError("cc and lc must be in [0, 1]")
+    lo, hi = _span(pixel_diff)
+    if not 0.0 <= lo <= hi < math.inf:
+        raise ValueError("pixel_diff must be finite and non-negative")
+    if not (np.diff(t) > 0).all():
+        raise ValueError("frames must arrive in strictly increasing time order")
+
+
+def _read_only(*columns: np.ndarray) -> None:
+    for column in columns:
+        column.flags.writeable = False
 
 
 class FrameTrace(abc.Sequence):
@@ -66,7 +94,8 @@ class FrameTrace(abc.Sequence):
     ``stop - 1`` of that array: a read calls it for the rows from the first
     not drawn yet to the last the read needs, so a trace draws its features
     only as far as it has been read, and each row once.  ``clc_sum`` is
-    computed on its first read.  Next to it the trace keeps, for each frame
+    computed on its first read, or with the block for a trace of
+    :meth:`block`.  Next to it the trace keeps, for each frame
     and :class:`DetectorConfig` from which :func:`first_drift` searched for
     a settled temp window, the frame where it settled or ``None`` if it does
     not before the trace ends; the search reads the CLC from that frame on
@@ -75,35 +104,46 @@ class FrameTrace(abc.Sequence):
     The checks :class:`FrameRecord` makes,
     strictly increasing times, one value per frame in every column and one
     feature vector per frame and category are made once for the whole
-    trace, the last on the rows as they are drawn.  Indexing, slicing and
-    iteration give :class:`FrameRecord` objects; compare ``list(trace)`` for
-    equality by value.
+    trace, or once for a whole block, the last on the rows as they are
+    drawn.  Indexing, slicing and iteration give :class:`FrameRecord`
+    objects; compare ``list(trace)`` for equality by value.
     """
 
     def __init__(self, t, cc, lc, pixel_diff, features, categories: Tuple[int, ...]):
-        if any(column.shape != (len(t),) for column in (t, cc, lc, pixel_diff)):
-            raise ValueError("t, cc, lc and pixel_diff must hold one value per frame")
-        # A NaN makes a column's least and greatest value NaN, so it fails
-        # every comparison below.
-        lo, hi = _span(t)
-        if not -math.inf < lo <= hi < math.inf:
-            raise ValueError("t must be finite")
-        for column in (cc,) if lc is cc else (cc, lc):
-            lo, hi = _span(column)
-            if not 0.0 <= lo <= hi <= 1.0:
-                raise ValueError("cc and lc must be in [0, 1]")
-        lo, hi = _span(pixel_diff)
-        if not 0.0 <= lo <= hi < math.inf:
-            raise ValueError("pixel_diff must be finite and non-negative")
-        if not (np.diff(t) > 0).all():
-            raise ValueError("frames must arrive in strictly increasing time order")
-        self.t, self.cc, self.lc, self.pixel_diff = t, cc, lc, pixel_diff
-        self.clc = cc * lc  # what clc() gives for each frame
+        _check_columns(t, cc, lc, pixel_diff, (len(t),))
+        clc = cc * lc  # what clc() gives for each frame
+        _read_only(t, cc, lc, pixel_diff, clc)
+        self._fill(t, cc, lc, pixel_diff, clc, None, features, categories)
+
+    @classmethod
+    def block(cls, t, cc, lc, pixel_diff, features: Sequence,
+              categories: Tuple[int, ...]) -> Tuple["FrameTrace", ...]:
+        """One trace per row of ``cc``, ``lc`` and ``pixel_diff``, arrays of
+        one row of frames per trace over the shared times ``t``: trace ``r``
+        is ``FrameTrace(t, cc[r], lc[r], pixel_diff[r], features[r],
+        categories)``, made with one check of the whole block, which rejects
+        what a check of each trace would with the same message.  The CLC and
+        its cumulative sum are computed for the block at once."""
+        _check_columns(t, cc, lc, pixel_diff, (len(features), len(t)))
+        clc = cc * lc
+        clc_sum = np.empty((len(clc), len(t) + 1))
+        clc_sum[:, 0] = 0.0
+        np.cumsum(clc, axis=1, out=clc_sum[:, 1:])
+        _read_only(t, cc, lc, pixel_diff, clc, clc_sum)
+        traces = []
+        for r, draw in enumerate(features):
+            trace = object.__new__(cls)
+            trace._fill(t, cc[r], lc[r], pixel_diff[r], clc[r], clc_sum[r], draw, categories)
+            traces.append(trace)
+        return tuple(traces)
+
+    def _fill(self, t, cc, lc, pixel_diff, clc, clc_sum, features, categories) -> None:
+        """Set this trace's state from read-only columns that passed the
+        checks: the one builder of a trace, a block's row and a window."""
+        self.t, self.cc, self.lc, self.pixel_diff, self.clc = t, cc, lc, pixel_diff, clc
         self.categories = tuple(categories)
-        self._clc_sum = None
+        self._clc_sum = clc_sum
         self._settles = {}  # (t1 frame, DetectorConfig) -> t3 frame or None
-        for column in (t, cc, lc, pixel_diff, self.clc):
-            column.flags.writeable = False
         if callable(features):
             self._draw, self._drawn = features, None
         else:
@@ -151,12 +191,10 @@ class FrameTrace(abc.Sequence):
         row read."""
         lo, hi, _ = slice(lo, hi).indices(len(self))
         sub = object.__new__(FrameTrace)
-        for name in ("t", "cc", "lc", "pixel_diff", "clc"):
-            setattr(sub, name, getattr(self, name)[lo:hi])  # a view of a read-only column
-        sub.categories = self.categories
-        sub._draw = lambda start, stop: self._features_to(lo + stop)[lo + start:lo + stop]
-        sub._drawn = sub._clc_sum = None
-        sub._settles = {}
+        columns = (self.t, self.cc, self.lc, self.pixel_diff, self.clc)
+        sub._fill(*(column[lo:hi] for column in columns), None,  # views of read-only columns
+                  lambda start, stop: self._features_to(lo + stop)[lo + start:lo + stop],
+                  self.categories)
         return sub
 
     def __len__(self) -> int:

@@ -210,38 +210,94 @@ def gen_trace(
     duration: float,
     sampler_cfg: Optional[SamplerConfig] = None,
 ) -> FrameTrace:
-    """Deterministic per-frame trace realizing the end's declared drifts.
+    """The trace of end ``end_index`` of a scenario, as :func:`gen_traces`
+    synthesizes it."""
+    return _synthesize(((end_index, spec),), seed, duration, sampler_cfg)[0]
 
-    Each substream is drawn in one call, in the order a frame-by-frame loop
-    would draw it (CLC noise then pixel noise per frame; two detections of
-    ``FEATURE_DIM`` per frame).  While a drift is active the mean CLC and
-    pixel levels follow the last active event, and detections shift by the
-    magnitude of the first one.  A gradual drift mixes old and new regimes,
-    choosing the new one with a probability that rises over its transition.
-    Each frame's cc and lc are both the square root of its CLC.  The
-    detection features' own substream is drawn only as far as ``features``
-    is read, since most traces are never sampled by feature deviation nor
-    written out; a draw of ``k`` standard normal rows is the first ``k``
-    rows of a longer one, so the rows do not depend on how far reads went."""
+
+def gen_traces(
+    ends: Sequence[MobileEndSpec],
+    seed: int,
+    duration: float,
+    sampler_cfg: Optional[SamplerConfig] = None,
+) -> Tuple[FrameTrace, ...]:
+    """Each end's trace, in order: ``ends[i]``'s is ``gen_trace(ends[i],
+    seed, i, duration, sampler_cfg)``, and the ends that share a frame rate
+    are synthesized in one array pass."""
+    groups: Dict[float, List[int]] = {}
+    for i, spec in enumerate(ends):
+        groups.setdefault(spec.frame_rate, []).append(i)
+    traces: List[Optional[FrameTrace]] = [None] * len(ends)
+    for rows in groups.values():
+        made = _synthesize([(i, ends[i]) for i in rows], seed, duration, sampler_cfg)
+        for i, trace in zip(rows, made):
+            traces[i] = trace
+    return tuple(traces)
+
+
+def _synthesize(
+    rows: Sequence[Tuple[int, MobileEndSpec]],
+    seed: int,
+    duration: float,
+    sampler_cfg: Optional[SamplerConfig],
+) -> Tuple[FrameTrace, ...]:
+    """Deterministic per-frame traces realizing the declared drifts of
+    ends of one frame rate, given as ``(end index, spec)`` pairs, as one
+    :meth:`FrameTrace.block` of one row per end over shared frame times.
+
+    Each end draws from substreams of its own index, each in one call, in
+    the order a frame-by-frame loop would draw it (CLC noise then pixel
+    noise per frame; two detections of ``FEATURE_DIM`` per frame), and adds
+    its noise into its rows as it is drawn.  While a drift is active the
+    mean CLC and pixel levels follow the last active event, and detections
+    shift by the magnitude of the first one.  A gradual drift mixes old and
+    new regimes, choosing the new one with a probability that rises over its
+    transition.  Each frame's cc and lc are both the square root of its
+    CLC, clipped for the whole block at once.  The detection features' own
+    substream is built and drawn only as far as ``features`` is read, since
+    most traces are never sampled by feature deviation nor written out; a
+    draw of ``k`` standard normal rows is the first ``k`` rows of a longer
+    one, so the rows do not depend on how far reads went."""
     cfg = sampler_cfg or SamplerConfig()
     area = float(cfg.frame_w * cfg.frame_h)
-    noise_rng = _stream(seed, end_index, 0)
-
-    n = max(0, int(duration * spec.frame_rate))
-    t = np.arange(1, n + 1) / spec.frame_rate
-    # only a gradual drift reads the mixture, and substreams are independent
-    gradual = any(ev.drift_type is DriftType.GRADUAL for ev in spec.drift_events)
-    mix = _stream(seed, end_index, 1).random(n) if gradual else None
-    # normal(0, scale) draws 0 + scale * z for each standard normal z
-    noise = noise_rng.standard_normal((n, 2))
-    noise *= [0.01, 0.02 * area]
-
-    base = spec.base_accuracy
+    rate = rows[0][1].frame_rate
+    n = max(0, int(duration * rate))
+    t = np.arange(1, n + 1) / rate
     p_old = PIXEL_OLD_FRACTION * area
     p_new = PIXEL_NEW_FRACTION * area
-    level = np.full(n, base, dtype=float)
-    pixel = np.full(n, p_old)
-    shift = np.zeros(n)
+    level = np.empty((len(rows), n))
+    pixel = np.full((len(rows), n), p_old)
+    shift = np.zeros((len(rows), n))
+    noise = np.empty((n, 2))  # one end's draw at a time
+    # normal(0, scale) draws 0 + scale * z for each standard normal z
+    scale = np.array([0.01, 0.02 * area])
+    for r, (end_index, spec) in enumerate(rows):
+        _stream(seed, end_index, 0).standard_normal(out=noise)
+        noise *= scale
+        # only a gradual drift reads the mixture, and substreams are independent
+        gradual = any(ev.drift_type is DriftType.GRADUAL for ev in spec.drift_events)
+        mix = _stream(seed, end_index, 1).random(n) if gradual else None
+        _drift_levels(spec, t, mix, level[r], pixel[r], shift[r], p_old, p_new)
+        level[r] += noise[:, 0]
+        pixel[r] += noise[:, 1]
+    np.maximum(1e-3, level, out=level)
+    np.minimum(1.0, level, out=level)
+    root = np.sqrt(level, out=level)
+    np.maximum(0.0, pixel, out=pixel)
+    return FrameTrace.block(t, root, root, pixel,
+                            [_features(seed, end_index, shift[r])
+                             for r, (end_index, _) in enumerate(rows)],
+                            categories=(0, 1))
+
+
+def _drift_levels(spec: MobileEndSpec, t: np.ndarray, mix: Optional[np.ndarray],
+                  level: np.ndarray, pixel: np.ndarray, shift: np.ndarray,
+                  p_old: float, p_new: float) -> None:
+    """Write an end's noise-free CLC level, its pixel level and its
+    detections' shift at frame times ``t`` into ``level``, ``pixel`` (which
+    holds ``p_old`` on entry) and ``shift`` (zeros on entry)."""
+    base = spec.base_accuracy
+    level[:] = base
     shifted = 0  # where the frames that earlier events are active on end
     for ev in spec.drift_events:
         settle = ev.t + ev.transition_s
@@ -263,9 +319,10 @@ def gen_trace(
             # The scene statistics shift faster than the confidence does, so
             # the early transition already looks like the new distribution.
             ramp = ev.transition_s / 2.0
-            # a subnormal ramp overflows to inf, and min(1, inf) is the 1 wanted
-            with np.errstate(over="ignore"):
-                frac = np.minimum(1.0, (t[lo:hi] - ev.t) / ramp) if ramp > 0 else 1.0
+            # min(1, since / ramp), divided only where it is below 1, so that
+            # a subnormal ramp overflows nowhere
+            since = t[lo:hi] - ev.t
+            frac = np.divide(since, ramp, out=np.ones_like(since), where=since < ramp)
             pixel[lo:hi] = p_old + (p_new - p_old) * frac
         else:  # gradual: old/new mixture with rising new-regime probability
             q = (t[lo:mid] - ev.t) / ev.transition_s
@@ -275,13 +332,12 @@ def gen_trace(
             pixel[mid:hi] = p_new
             pixel[lo:mid] = p_old
 
-    level += noise[:, 0]
-    np.maximum(1e-3, level, out=level)
-    np.minimum(1.0, level, out=level)
-    root = np.sqrt(level, out=level)
-    pixel += noise[:, 1]
-    np.maximum(0.0, pixel, out=pixel)
-    rng = None  # the features' substream, built on their first draw
+
+def _features(seed: int, end_index: int, shift: np.ndarray):
+    """The ``features(start, stop)`` of an end's :class:`FrameTrace`:
+    detections around the centroids moved by ``shift``, with noise from the
+    end's features substream, which is built on the first draw."""
+    rng = None
 
     def features(start, stop):
         nonlocal rng
@@ -290,8 +346,7 @@ def gen_trace(
         det_noise = rng.standard_normal((stop - start, 2, FEATURE_DIM)) * 0.03
         return (_CENTROIDS + shift[start:stop, None, None]) + det_noise
 
-    return FrameTrace(t=t, cc=root, lc=root, pixel_diff=pixel, features=features,
-                      categories=(0, 1))
+    return features
 
 
 def _sampled_frames(trace: FrameTrace, event: DriftEvent, sampler_cfg: SamplerConfig) -> int:
@@ -314,11 +369,13 @@ def _sampled_frames(trace: FrameTrace, event: DriftEvent, sampler_cfg: SamplerCo
 
 # --- per-end start state ----------------------------------------------------
 # What an end sees does not depend on the policy, so the runs of a scenario
-# share it: _starts keeps the last scenario's, keyed by everything gen_trace,
-# first_drift and _sampled_frames read.  Nothing a policy does may change a
-# start; whatever a run changes in what an end sees (a download lifting its
-# confidence, say) must be applied where the run reads the trace and join the
-# key of what it changes.
+# share it: _starts keeps the last scenario's, keyed by everything gen_traces,
+# first_drift and _sampled_frames read.  Its one gen_traces call synthesizes
+# every end's trace, one array pass per frame rate, after the kept scenario's
+# traces are let go.  Nothing a policy does may change a start; whatever a
+# run changes in what an end sees (a download lifting its confidence, say)
+# must be applied where the run reads the trace and join the key of what it
+# changes.
 
 def _last_call(build):
     """``build`` keeping the result of its last call only, for calls with
@@ -355,11 +412,11 @@ class _Start(NamedTuple):
 def _starts(ends: Tuple[MobileEndSpec, ...], seed: int, duration: float,
             sampler_cfg: SamplerConfig, detector: DetectorConfig) -> Tuple[_Start, ...]:
     """Each end's :class:`_Start`; ``detector`` keys the ``drifts`` runs add."""
-    # looked up as module globals, so a wrapper of gen_trace or memory_demand
-    # sees each call
-    return tuple(_Start(gen_trace(spec, seed, i, duration, sampler_cfg),
-                        memory_demand(spec.arch), {}, {})
-                 for i, spec in enumerate(ends))
+    # looked up as module globals, so a wrapper of gen_traces or
+    # memory_demand sees each call
+    traces = gen_traces(ends, seed, duration, sampler_cfg)
+    return tuple(_Start(trace, memory_demand(spec.arch), {}, {})
+                 for spec, trace in zip(ends, traces))
 
 
 # --- ground-truth retraining cost model -------------------------------------
@@ -844,12 +901,18 @@ def write_summary_json(path, metrics: SimMetrics, scenario: Scenario) -> None:
 
 
 def write_traces(out_dir, scenario: Scenario) -> List[str]:
-    """Materialize every end's generated trace as CSV; returns file paths."""
+    """Write every end's generated trace to ``trace_<end id>.csv`` in
+    ``out_dir``; returns the file paths.  ValueError naming the end, before
+    any trace is synthesized or file written, for an end id that cannot
+    name a file there."""
     import os
-    paths = []
-    for i, spec in enumerate(scenario.ends):
-        trace = gen_trace(spec, scenario.seed, i, scenario.duration, scenario.sampler)
-        path = os.path.join(out_dir, f"trace_{spec.end_id}.csv")
+    names = [f"trace_{spec.end_id}.csv" for spec in scenario.ends]
+    for i, (spec, name) in enumerate(zip(scenario.ends, names)):
+        if os.path.basename(name) != name or "\0" in name:
+            raise ValueError(f"Scenario.ends[{i}]: end_id {spec.end_id!r} cannot name a "
+                             f"file: {name!r} holds a path separator or a NUL")
+    paths = [os.path.join(out_dir, name) for name in names]
+    traces = gen_traces(scenario.ends, scenario.seed, scenario.duration, scenario.sampler)
+    for path, trace in zip(paths, traces):
         write_trace_csv(path, trace)
-        paths.append(path)
     return paths

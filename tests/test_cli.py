@@ -683,3 +683,16 @@ def test_gen_traces_deterministic(scenario_path, tmp_path):
     name = "trace_end-a.csv"
     assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     assert (out1 / "trace_end-b.csv").exists()
+
+
+@pytest.mark.parametrize("end_id", ["b/c", "b\x00c"], ids=["separator", "nul"])
+def test_gen_traces_rejects_an_end_id_that_names_no_file(tmp_path, capsys, end_id):
+    """An end id that cannot name a file in the output directory exits 2,
+    naming the end, before any trace file is written."""
+    path = tmp_path / "scenario.json"
+    save_scenario(path, Scenario(seed=7, ends=(sudden_end("a"), sudden_end(end_id))))
+    out = tmp_path / "o2"
+    assert main(["gen-traces", "--scenario", str(path), "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: Scenario.ends[1]: ") and repr(end_id) in err
+    assert list(out.iterdir()) == []

@@ -520,6 +520,68 @@ class TestFrameTrace:
             FrameRecord(**fields)
 
 
+def _one_trace(t, cc, lc, pixel):
+    """``FrameTrace`` of the columns."""
+    return FrameTrace(t=t, cc=cc, lc=lc, pixel_diff=pixel,
+                      features=np.zeros((len(t), 1, 2)), categories=(3,))
+
+
+def _middle_of_three(t, cc, lc, pixel):
+    """The columns as the middle trace of a ``FrameTrace.block`` of three,
+    whose other rows are valid."""
+    def rows(column, good):
+        return np.stack([np.full(len(column), good), column, np.full(len(column), good)])
+
+    cc_rows = rows(cc, 0.5)
+    lc_rows = cc_rows if lc is cc else rows(lc, 0.5)
+    traces = FrameTrace.block(t, cc_rows, lc_rows, rows(pixel, 1.0),
+                              [np.zeros((len(t), 1, 2))] * 3, categories=(3,))
+    return traces[1]
+
+
+_ONE_VALUE = "t, cc, lc and pixel_diff must hold one value per frame"
+_ORDER = "frames must arrive in strictly increasing time order"
+_CLC = "cc and lc must be in [0, 1]"
+_PIXEL = "pixel_diff must be finite and non-negative"
+
+
+@pytest.mark.parametrize("build", [_one_trace, _middle_of_three], ids=["trace", "block"])
+@pytest.mark.parametrize("shared", [False, True], ids=["own-lc", "lc-is-cc"])
+@pytest.mark.parametrize("change, message", [
+    ({}, None), ({"cc": [0.5, 0.5]}, _ONE_VALUE), ({"pixel": [1.0] * 4}, _ONE_VALUE),
+    ({"t": [1.0, 2.0]}, _ONE_VALUE), ({"t": [1.0, math.nan, 3.0]}, "t must be finite"),
+    ({"t": [1.0, 2.0, 2.0]}, _ORDER), ({"t": [1.0, 3.0, 2.0]}, _ORDER),
+    ({"cc": [0.5, 1.5, 0.5]}, _CLC), ({"lc": [0.5, -0.1, 0.5]}, _CLC),
+    ({"cc": [0.5, math.nan, 0.5]}, _CLC), ({"pixel": [1.0, -1.0, 1.0]}, _PIXEL),
+    ({"pixel": [1.0, math.inf, 1.0]}, _PIXEL), ({"pixel": [1.0, math.nan, 1.0]}, _PIXEL),
+], ids=["valid", "cc-short", "pixel-long", "t-short", "t-nan", "t-repeated", "t-falls",
+        "cc-above-1", "lc-below-0", "cc-nan", "pixel-negative", "pixel-inf", "pixel-nan"])
+def test_block_rejects_what_a_trace_rejects(build, shared, change, message):
+    """A block's one check rejects a bad value in one of its rows, or
+    columns of unequal length, with the message a trace of that row gives;
+    a valid row gives the records a trace of it gives."""
+    cols = {"t": [1.0, 2.0, 3.0], "cc": [0.5] * 3, "lc": [0.6] * 3, "pixel": [1.0] * 3, **change}
+    t, cc, lc, pixel = (np.array(cols[name]) for name in ("t", "cc", "lc", "pixel"))
+    if shared:  # as a synthesized trace's cc and lc are one array
+        cc = lc = lc if "lc" in change else cc
+    if message is None:
+        want = _one_trace(*(column.copy() for column in (t, cc, lc, pixel)))
+        got = build(t, cc, lc, pixel)
+        assert list(got) == list(want) and [repr(f) for f in got] == [repr(f) for f in want]
+    else:
+        with pytest.raises(ValueError) as info:
+            build(t, cc, lc, pixel)
+        assert str(info.value) == message
+
+
+def test_block_needs_one_row_per_trace():
+    t, row = np.array([1.0, 2.0]), np.full(2, 0.5)
+    with pytest.raises(ValueError) as info:
+        FrameTrace.block(t, np.stack([row, row]), np.stack([row, row]), np.stack([row, row]),
+                         [np.zeros((2, 1, 1))] * 3, categories=(0,))
+    assert str(info.value) == _ONE_VALUE
+
+
 def test_first_drift_start_checked():
     trace = columnar([1.0, 2.0], [0.5] * 2, [0.5] * 2, [1.0] * 2)
     assert first_drift(trace, 2, SMALL_CFG) is None

@@ -38,6 +38,7 @@ from evosched.simenv import (
     _stream,
     admit,
     gen_trace,
+    gen_traces,
     ground_truth_retrain_seconds,
     load_scenario,
     run,
@@ -202,11 +203,10 @@ def reference_gen_trace(spec, seed, end_index, duration, sampler_cfg=None):
 
 
 @st.composite
-def _trace_case(draw):
-    """An end with random, possibly overlapping drifts, and trace arguments.
+def _end_spec(draw, duration, end_id="e"):
+    """An end with random, possibly overlapping drifts over ``duration``.
     Onsets and transition ends often fall exactly on frame times."""
     frame_rate = draw(st.sampled_from([1.0, 2.5, 0.5, 3.0]) | st.floats(0.2, 5.0))
-    duration = draw(st.floats(1.0, 120.0))
     n = int(duration * frame_rate)
     on_frame = st.integers(0, n + 2).map(lambda k: k / frame_rate)
     span = st.just(0.0) | on_frame | st.floats(0.0, 60.0)
@@ -216,14 +216,24 @@ def _trace_case(draw):
          draw(st.floats(0.01, 0.99)), draw(span), draw(span))
         for _ in range(draw(st.integers(0, 4)))
     )
-    spec = MobileEndSpec(
-        end_id="e", arch=tiny_arch(), frame_rate=frame_rate,
+    return MobileEndSpec(
+        end_id=end_id, arch=tiny_arch(), frame_rate=frame_rate,
         base_accuracy=draw(st.floats(0.05, 1.0)),
         drift_events=tuple(DriftInjection(t=t, drift_type=kind, magnitude=m,
                                           transition_s=tr, recovery_s=rec)
                            for t, kind, m, tr, rec in events))
-    cfg = SamplerConfig(frame_w=draw(st.integers(1, 2000)),
-                        frame_h=draw(st.integers(1, 2000)))
+
+
+_frame_size = st.builds(SamplerConfig, frame_w=st.integers(1, 2000),
+                        frame_h=st.integers(1, 2000))
+
+
+@st.composite
+def _trace_case(draw):
+    """An end with random drifts, and trace arguments."""
+    duration = draw(st.floats(1.0, 120.0))
+    spec = draw(_end_spec(duration))
+    cfg = draw(_frame_size)
     return spec, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 64)), duration, cfg
 
 
@@ -247,6 +257,57 @@ def test_gen_trace_subnormal_ramp_matches_reference_without_warnings():
         got = list(gen_trace(spec, seed=3, end_index=0, duration=60.0))
     want = reference_gen_trace(spec, 3, 0, 60.0)
     assert got == want and [repr(f) for f in got] == [repr(f) for f in want]
+
+
+@st.composite
+def _scenario_trace_case(draw):
+    """One to six ends drawn as ``_trace_case`` draws one, over one duration:
+    frame rates mixed in one scenario, shared by some ends, and short
+    durations at which an end of a low frame rate has no frame."""
+    duration = draw(st.floats(1.0, 120.0))
+    ends = tuple(draw(_end_spec(duration, f"e{i}")) for i in range(draw(st.integers(1, 6))))
+    return ends, draw(st.integers(0, 2**32 - 1)), duration, draw(_frame_size)
+
+
+def _drift(kind, t, transition_s=20.0):
+    return DriftInjection(t=t, drift_type=kind, magnitude=0.4, transition_s=transition_s,
+                          recovery_s=10.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_scenario_trace_case())
+@example(case=((
+    MobileEndSpec(end_id="slow", arch=tiny_arch(), frame_rate=0.2),  # no frame
+    MobileEndSpec(end_id="a", arch=tiny_arch(), frame_rate=2.5, drift_events=(
+        _drift(DriftType.GRADUAL, 3.0), _drift(DriftType.SUDDEN, 10.0))),
+    MobileEndSpec(end_id="b", arch=tiny_arch(), frame_rate=2.5, drift_events=(
+        _drift(DriftType.INCREMENTAL, 2.0, 8.0),)),
+    MobileEndSpec(end_id="c", arch=tiny_arch(), frame_rate=1.0),
+    MobileEndSpec(end_id="d", arch=tiny_arch(), frame_rate=2.5, base_accuracy=0.6),
+), 11, 4.9, SamplerConfig()))
+def test_scenario_traces_match_reference_loop(case):
+    """Each end's trace from the scenario-wide synthesis is the reference
+    loop's for its own index, its cumulative CLC is a fresh one, and no end
+    builds its features' substream before its features are read."""
+    ends, seed, duration, cfg = case
+    made = []  # (end index, purpose) of every substream simenv builds
+
+    def counted(seed, end_index, purpose):
+        made.append((end_index, purpose))
+        return _stream(seed, end_index, purpose)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simenv, "_stream", counted)
+        traces = gen_traces(ends, seed, duration, cfg)
+        assert len(traces) == len(ends)
+        for i, (spec, trace) in enumerate(zip(ends, traces)):
+            clc_sum = np.concatenate(([0.0], np.cumsum(trace.clc)))
+            assert trace.clc_sum.tobytes() == clc_sum.tobytes()
+            assert [k for k, purpose in made if purpose == 2] == list(range(i))
+            want = reference_gen_trace(spec, seed, i, duration, cfg)
+            assert list(trace) == want
+            assert [repr(f) for f in trace] == [repr(f) for f in want]
+        assert [k for k, purpose in made if purpose == 2] == list(range(len(ends)))
 
 
 def _count_streams(monkeypatch):
@@ -686,11 +747,11 @@ def _count_traces(monkeypatch):
     """Record ``(end_id, seed, end_index)`` for every trace ``simenv`` builds."""
     built = []
 
-    def counted(spec, seed, end_index, duration, sampler_cfg=None):
-        built.append((spec.end_id, seed, end_index))
-        return gen_trace(spec, seed, end_index, duration, sampler_cfg)
+    def counted(ends, seed, duration, sampler_cfg=None):
+        built.extend((spec.end_id, seed, i) for i, spec in enumerate(ends))
+        return gen_traces(ends, seed, duration, sampler_cfg)
 
-    monkeypatch.setattr(simenv, "gen_trace", counted)
+    monkeypatch.setattr(simenv, "gen_traces", counted)
     return built
 
 
@@ -835,11 +896,11 @@ def test_memo_keeps_only_the_scenario_in_use(monkeypatch):
     built = []
 
     def kept(*args):
-        trace = gen_trace(*args)
-        built.append(weakref.ref(trace))
-        return trace
+        traces = gen_traces(*args)
+        built.extend(weakref.ref(trace) for trace in traces)
+        return traces
 
-    monkeypatch.setattr(simenv, "gen_trace", kept)
+    monkeypatch.setattr(simenv, "gen_traces", kept)
     simenv._starts.cache_clear()
     for p in Policy:
         run(replace(sc, policy=p))
@@ -850,7 +911,7 @@ def test_memo_keeps_only_the_scenario_in_use(monkeypatch):
 
 
 def test_memo_lets_the_last_scenario_go_before_it_builds_the_next(monkeypatch):
-    """When a scenario's first trace is built, no trace of the scenario
+    """When a scenario's traces are synthesized, no trace of the scenario
     before it is held any more."""
     from test_golden import mixed_drift_scenario
     sc = mixed_drift_scenario()
@@ -858,17 +919,16 @@ def test_memo_lets_the_last_scenario_go_before_it_builds_the_next(monkeypatch):
 
     def kept(*args):
         alive.append(sum(ref() is not None for ref in built))
-        trace = gen_trace(*args)
-        built.append(weakref.ref(trace))
-        return trace
+        traces = gen_traces(*args)
+        built.extend(weakref.ref(trace) for trace in traces)
+        return traces
 
-    monkeypatch.setattr(simenv, "gen_trace", kept)
+    monkeypatch.setattr(simenv, "gen_traces", kept)
     simenv._starts.cache_clear()
     run(sc)
-    n = len(sc.ends)
-    assert alive == list(range(n))
+    assert alive == [0] and len(built) == len(sc.ends)
     run(replace(sc, seed=sc.seed + 1))
-    assert alive[n:] == list(range(n))
+    assert alive == [0, 0] and len(built) == 2 * len(sc.ends)
 
 
 def _quiet_ends(n, frames):
