@@ -305,23 +305,25 @@ def fit_accuracy_curve(probes: Sequence[Tuple[float, float]]) -> AccuracyCurve:
     0 <= b <= 1e3 and 1e-9 <= c <= 1e4.  Bounded searches run over the direction
     s = c / (b + c) and over log10(b / c); at each step a_max and k = 1 / c have a
     closed form (variable projection)."""
-    from scipy.optimize import minimize_scalar  # scipy is slow to import; only fitting needs it
+    from scipy.optimize import brentq, minimize_scalar  # scipy is slow to import; only fitting needs it
 
     if len(probes) < 3:
         raise ValueError("need at least 3 probe points")
     e, y = np.asarray(probes, dtype=float).T
     if np.ptp(e) == 0:
         raise ValueError("probe epochs are all identical")
+    y_c = y - y.mean()
 
     def fit(w: float) -> Tuple[float, float, float, float]:  # SSE, a_max, b, c with b / c = w
         if 1.0 + w * e.min() <= 0:  # some b * e + c <= 0
             return math.inf, 0.0, 0.0, 0.0
         g = 1.0 / (w * e + 1.0)  # the curve is a_max - k * g, linear in a_max and k
-        g_c = g - g.mean()
-        k = -float(np.dot(y, g_c)) / (float(np.dot(g_c, g_c)) or 1.0)
-        k = min(max(k, w / 1e3, 1e-4), 1e9)  # the box: b = w / k <= 1e3, 1e-9 <= c <= 1e4
-        a_max = float(np.mean(y + k * g))
-        return float(np.sum((y - a_max + k * g) ** 2)), a_max, min(w / k, 1e3), 1.0 / k
+        # g - mean(g) = w * d, written so that it keeps its digits as w -> 0
+        d = g * (float(np.mean(e * g)) - e * float(np.mean(g)))
+        m = -float(np.dot(y_c, d)) / (float(np.dot(d, d)) or 1.0)  # k * w
+        k = min(max(m / w if w > 0 else 0.0, w / 1e3, 1e-4), 1e9)  # the box: b = w / k <= 1e3, 1e-9 <= c <= 1e4
+        r = y_c + k * w * d
+        return float(np.dot(r, r)), float(y.mean() + k * np.mean(g)), min(w / k, 1e3), 1.0 / k
 
     top = 1e12 / max(1.0, -1e12 * float(e.min()))  # b / c <= 1e3 / 1e-9, and b * e + c > 0
     options = {"xatol": 1e-10, "maxiter": 200}
@@ -333,7 +335,16 @@ def fit_accuracy_curve(probes: Sequence[Tuple[float, float]]) -> AccuracyCurve:
     hi = math.log10(top)
     x = float(minimize_scalar(lambda x: fit(10.0 ** x)[0], bounds=(min(-12.0, hi), hi),
                               method="bounded", options=options).x)
-    _, a_max, b, c = min(fit(w) for w in ((1.0 - s) / s, 10.0 ** x, top, 0.0))
+    sse, w = min((fit(w)[0], w) for w in ((1.0 - s) / s, 10.0 ** x, top, 0.0))
+    # near a line, a_max and 1 / (b * e + c) grow as c / b and the curve's values
+    # lose digits to their difference: of the fits within 1e-7 of the least SSE,
+    # take one with a larger b / c
+    def excess(x: float) -> float:  # SSE at b / c = 10 ** x above the least * (1 + 1e-7)
+        return fit(10.0 ** x)[0] - sse * (1.0 + 1e-7)
+
+    if 0.0 < w < top and excess(math.log10(w)) < 0:
+        w = top if excess(hi) <= 0 else 10.0 ** brentq(excess, math.log10(w), hi, xtol=1e-6)
+    _, a_max, b, c = fit(w)
     return AccuracyCurve(a_max=a_max, b=b, c=c)
 
 

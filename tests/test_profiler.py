@@ -261,6 +261,12 @@ def probe_sets(draw):
 @example([(2.0, 0.500335226588977), (8.0, 0.5007474719318665), (10.0, 0.5009526610184022),
           (12.0, 0.49995536977944227), (14.0, 0.5003719366960769), (28.0, 0.49951064239892495),
           (34.0, 0.5015741792686381)])
+# a rising, convex set whose best fit is near a line: a_max near 2e8 loses the
+# curve's values to rounding
+@example([(1.005859375, -0.1437820678678062), (1.20703125, -0.14220226029895386),
+          (1.408203125, -0.13037209337617164)])
+# three points on a curve, fit with an SSE of about 0
+@example([(2.0, 0.2540976142883406), (4.0, 0.37570478252147943), (6.0, 0.4183792908967415)])
 def test_fit_is_no_worse_than_the_nested_search(probes):
     """One search over the direction of (b, c) fits as well as the nested
     searches over b and c, inside the same box."""
