@@ -95,18 +95,18 @@ class FrameTrace(abc.Sequence):
     not drawn yet to the last the read needs, so a trace draws its features
     only as far as it has been read, and each row once.  ``clc_sum`` is
     computed on its first read, or with the block for a trace of
-    :meth:`block`.  Next to it the trace keeps, for each frame
-    and :class:`DetectorConfig` from which :func:`first_drift` searched for
-    a settled temp window, the frame where it settled or ``None`` if it does
+    :meth:`block`.  Next to it the trace keeps, for each frame and
+    :class:`DetectorConfig` from which :func:`first_drift` searched for a
+    settled temp window, the frame where it settled or ``None`` if it does
     not before the trace ends; the search reads the CLC from that frame on
-    only, so what it found holds for every later call, from any start frame
-    and for any policy that armed the detector.  A window keeps its own.
-    The checks :class:`FrameRecord` makes,
-    strictly increasing times, one value per frame in every column and one
-    feature vector per frame and category are made once for the whole
-    trace, or once for a whole block, the last on the rows as they are
-    drawn.  Indexing, slicing and iteration give :class:`FrameRecord`
-    objects; compare ``list(trace)`` for equality by value.
+    only, a block of rows at a time, so what it found holds for every later
+    call, from any start frame and for any policy that armed the detector.
+    A window keeps its own.  The checks :class:`FrameRecord` makes, strictly
+    increasing times, one value per frame in every column and one feature
+    vector per frame and category are made once for the whole trace, or
+    once for a whole block, the last on the rows as they are drawn.
+    Indexing, slicing and iteration give :class:`FrameRecord` objects;
+    compare ``list(trace)`` for equality by value.
     """
 
     def __init__(self, t, cc, lc, pixel_diff, features, categories: Tuple[int, ...]):
@@ -402,11 +402,11 @@ def first_drift(trace: FrameTrace, start: int,
     its temp window settles the detector reads the CLC of the frames from t1
     on and nothing else: not the start frame, not its reference window, and
     not the policy of a simulation, which only picks the start.  So the
-    settle first found from a t1 frame under a config, or a search that
-    reached the end of the trace without one, holds for every later call:
-    ``trace`` keeps it (see :class:`FrameTrace`), and a call that drifts at
-    a kept frame reads it back without a search.  Only the event's d and d0
-    read the reference window.
+    settle :func:`_settle` finds from a t1 frame under a config, a block of
+    rows at a time, or its finding that none comes before the trace ends,
+    holds for every later call: ``trace`` keeps it (see :class:`FrameTrace`),
+    and a call that drifts at a kept frame reads it back without a search.
+    Only the event's d and d0 read the reference window.
     """
     if start < 0:
         raise ValueError("start must be a frame index")
@@ -474,9 +474,10 @@ def _first_drop(v: np.ndarray, ref: int, ref_mean: float, can_drop: np.ndarray,
 def _settle(v: np.ndarray, t1_at: int, cfg: DetectorConfig) -> Optional[int]:
     """The frame at which a detector that drifted at frame ``t1_at`` of a
     trace with CLC values ``v`` sees its temp window settle, t3; ``None`` if
-    it does not before the trace ends.  The frames from t1 on are read a
-    span at a time, ``4 * (window + temp)`` frames and then twice as many
-    as the last, so that the search ends soon after the first settle."""
+    it does not before the trace ends.  The rows, one per frame count since
+    t1, are tested in blocks, a temp window's worth and then twice as many
+    as the last, and each block reads the CLC from t1 on only as far as its
+    last row needs, so that the search ends soon after the first settle."""
     temp, parts = cfg.temp_window_frames, cfg.sub_windows
     sub = temp // parts
     # With n frames since t1 (n >= 2, from the frame after t1 on), the temp
@@ -489,38 +490,27 @@ def _settle(v: np.ndarray, t1_at: int, cfg: DetectorConfig) -> Optional[int]:
     # calls pow: they can differ from its values by a few ulps, or by about
     # (parts * eps) ** 2 near a variance of 0, as CLC means are at most 1.
     # Rows below the margin are candidates, and the detector's own
-    # expression on Python floats decides.  The rows are tested in blocks,
-    # a temp window's worth and then twice as many as the last.
+    # expression on Python floats decides.
     margin = cfg.variance_threshold * (1 + 1e-9) + (2 * parts * _EPS) ** 2
-    span, lo, size = 4 * (cfg.window_frames + temp), 0, temp
-    while True:
-        last_n = min(rest, span)
-        if last_n < first_n:
-            return None
-        prefix = np.empty(last_n + 1)
-        prefix[0] = 0.0
+    n, size = first_n, temp  # the block's first row and its row count
+    while n <= rest:
+        last_n = min(rest, n + size - 1)
+        prefix = np.zeros(last_n + 1)
         np.add.accumulate(v[t1_at:t1_at + last_n], out=prefix[1:])
         means = (prefix[sub:] - prefix[:-sub]) / sub
-        # windows[i, row]: sub-window i's mean at n = first_n + row, for
-        # every n up to last_n; the last one is means[-1].
-        count = last_n - first_n + 1
-        windows = np.ndarray((parts, count), buffer=means,
-                             offset=(first_n - temp) * means.itemsize,
-                             strides=(sub * means.itemsize, means.itemsize))
-        while lo < count:
-            block = windows[:, lo:lo + size]
-            deviation = block - np.add.reduce(block) / parts
-            deviation *= deviation
-            for row in (np.add.reduce(deviation) / parts < margin).nonzero()[0].tolist():
-                n = first_n + lo + row
-                window = means[n - temp:n:sub].tolist()
-                grand_n = sum(window) / len(window)
-                if sum((m - grand_n) ** 2 for m in window) / len(window) < cfg.variance_threshold:
-                    return t1_at + n - 1
-            lo, size = lo + block.shape[1], 2 * size
-        if last_n == rest:
-            return None
-        span *= 2
+        # block[i, row]: sub-window i's mean at n + row; the last is means[-1].
+        block = np.ndarray((parts, last_n - n + 1), buffer=means,
+                           offset=(n - temp) * means.itemsize,
+                           strides=(sub * means.itemsize, means.itemsize))
+        deviation = block - np.add.reduce(block) / parts
+        deviation *= deviation
+        for row in (np.add.reduce(deviation) / parts < margin).nonzero()[0].tolist():
+            window = means[n + row - temp:n + row:sub].tolist()
+            grand = sum(window) / len(window)
+            if sum((m - grand) ** 2 for m in window) / len(window) < cfg.variance_threshold:
+                return t1_at + n + row - 1
+        n, size = last_n + 1, 2 * size
+    return None
 
 
 def _event(trace: FrameTrace, start: int, t1_at: int, t2_at: int, t3_at: int,

@@ -13,7 +13,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from typing import List, Sequence, Tuple
 
@@ -58,11 +58,11 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class ModelArch:
-    layers: Tuple[LayerSpec, ...]
     bitwidth: int = 32
     input_w: int = 224
     input_h: int = 224
     batch: int = 1
+    layers: Tuple[LayerSpec, ...] = field(kw_only=True)  # last in a JSON document
 
     def __post_init__(self):
         check_numbers(self)
@@ -261,17 +261,8 @@ def write_json(path, doc, sort_keys: bool) -> None:
         fh.write("\n")
 
 
-def arch_to_doc(arch: ModelArch) -> dict:
-    """JSON document of an architecture, as arch files and scenarios hold it:
-    its fields with ``layers`` last, each layer's fields with ``kind`` first;
-    ``from_doc(ModelArch, doc)`` reads it back."""
-    doc = fields_doc(arch)
-    doc["layers"] = doc.pop("layers")
-    return doc
-
-
 def write_arch_json(path, arch: ModelArch) -> None:
-    write_json(path, arch_to_doc(arch), sort_keys=False)
+    write_json(path, fields_doc(arch), sort_keys=False)
 
 
 def read_arch_json(path) -> ModelArch:

@@ -489,19 +489,19 @@ class _AccuracyModel:
 
     Decays at the end's rate during declared drift transitions, holds
     otherwise, and jumps up at each model download.  Evaluation is anchored at
-    the most recent restoration point so simulated downloads simply reset it."""
+    ``anchor_t``, the last download or 0, where the end's current cycle began."""
 
     def __init__(self, spec: MobileEndSpec):
         self._decays = [(ev.t, ev.t + ev.transition_s, spec.decay)
                         for ev in spec.drift_events]
-        self._anchor_t = 0.0
+        self.anchor_t = 0.0
         self._anchor_a = spec.base_accuracy
 
     def at(self, t: float) -> float:
         return max(ACCURACY_FLOOR, self._unclamped(t))
 
     def restore(self, t: float, value: float) -> None:
-        self._anchor_t = t
+        self.anchor_t = t
         self._anchor_a = max(ACCURACY_FLOOR, min(1.0, value))
 
     def mean_over(self, a: float, b: float) -> float:
@@ -517,7 +517,7 @@ class _AccuracyModel:
         farthest a floor crossing in the last segment can round to."""
         if b <= a:
             return self.at(a)
-        since = min(a, self._anchor_t)
+        since = min(a, self.anchor_t)
         decays = [d for d in self._decays if d[0] <= b and d[1] > since]
         points = {a, b}
         for lo, hi, _ in decays:
@@ -545,7 +545,7 @@ class _AccuracyModel:
         the end's when not given."""
         drop = 0.0
         for lo, hi, rate in self._decays if decays is None else decays:
-            overlap = min(t, hi) - max(self._anchor_t, lo)
+            overlap = min(t, hi) - max(self.anchor_t, lo)
             if overlap > 0:
                 drop += rate * overlap
         return self._anchor_a - drop
@@ -559,7 +559,6 @@ class _EndState:
     index: int
     start: _Start  # policy-free: see _Start
     accuracy: _AccuracyModel
-    cycle_start: float = 0.0
 
 
 @dataclass
@@ -698,12 +697,13 @@ class _Sim:
         end = ts.end
         restored = min(1.0, end.spec.gain_curve_truth.predict(self.sc.epochs))
         restored = max(restored, end.accuracy.at(t))
-        avg_acc = end.accuracy.mean_over(end.cycle_start, t)
+        cycle_start = end.accuracy.anchor_t
+        avg_acc = end.accuracy.mean_over(cycle_start, t)
         end.accuracy.restore(t, restored)
 
         task = ts.task
         self.finished.append(TaskMetrics(
-            t_infer=max(0.0, ts.trigger_t - end.cycle_start),
+            t_infer=max(0.0, ts.trigger_t - cycle_start),
             t_upload=ts.t_upload,
             t_schedule=ts.admit_t - task.arrival_t,
             t_retrain=ts.t_retrain,
@@ -714,7 +714,6 @@ class _Sim:
             urgency=task.urgency,
             trigger_t=ts.trigger_t,
         ))
-        end.cycle_start = t
         self._arm(t, end)
 
     # -- admission and the completion engine --

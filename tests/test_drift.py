@@ -647,9 +647,9 @@ def _scan_case(draw):
     ramps, with or without noise, a start frame, and a detector config with
     windows from 2 to 90 frames; some traces are shorter than two windows,
     some hold the level for a quiet lead of up to 20 * (window + temp)
-    frames first, so that events lie beyond the scan's first and second
-    spans, and some take turns up to ten windows long, so that a temp window
-    settles beyond the settle search's first and second blocks."""
+    frames first, so that events lie far past the start frame, and some
+    take turns up to ten windows long, so that a temp window settles
+    beyond the settle search's first and second blocks."""
     window = draw(st.integers(2, 90))
     parts = draw(st.sampled_from([1, 3, 12, 30]))
     temp = parts * draw(st.integers(1, 90 // parts))
@@ -711,6 +711,38 @@ def test_first_drift_matches_streaming_detector(case, data):
     assert got == want and repr(got) == repr(want)
 
 
+# The settle search tests rows n (frames since t1, from first_n =
+# max(temp, 2)) in blocks of temp rows and then twice as many as the last:
+# here rows 4-7, 8-15, 16-31, 32-63 and, capped by the trace, 64.
+BLOCK_CFG = DetectorConfig(window_frames=4, sub_windows=2, temp_window_frames=4,
+                           rod_threshold=0.3, variance_threshold=1e-6)
+
+
+@pytest.mark.parametrize("settle_n", [4, 7, 8, 16, 40, 64, None], ids=[
+    "first-row", "first-block-last-row", "second-block-first-row",
+    "third-block-first-row", "fourth-block-row", "last-frame", "never"])
+def test_settle_at_each_block_boundary(settle_n):
+    """A trace that drifts at frame 7 and whose temp window first settles
+    ``settle_n`` frames from t1 on: ``first_drift`` gives the streaming
+    detector's first event there.  From t1 on the CLC rises by 0.005 a
+    frame, so no temp window within the ramp settles, and then holds at
+    0.6 from frame ``t1 + settle_n - temp`` on; with no settle it rises to
+    the trace's end."""
+    w, temp, t1_at, rest = 4, BLOCK_CFG.temp_window_frames, 7, 64
+    steady = rest if settle_n is None else settle_n - temp
+    after = [0.2 + 0.005 * j if j < steady else 0.6 for j in range(rest)]
+    value = [0.81] * w + [0.2] * (t1_at - w) + after
+    n = len(value)
+    trace = columnar(np.arange(1.0, n + 1), value, [1.0] * n, np.linspace(0.0, 900.0, n))
+    want = _stream_events(trace, 0, BLOCK_CFG)[:1] or [None]
+    got = first_drift(trace, 0, BLOCK_CFG)
+    assert got == want[0] and repr(got) == repr(want[0])
+    if settle_n is None:
+        assert got is None
+    else:
+        assert got[0] == t1_at + settle_n - 1 and got[1].t1 == trace.t[t1_at]
+
+
 # --- the settle a trace keeps ---------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
@@ -720,7 +752,7 @@ def _scenario_traces():
     the same window and rod threshold, so that from every start frame both
     drift at the same frame, but a temp window of three single frames and a
     variance threshold so low that it settles rarely, often past the first
-    span of the settle search and at times not before the trace ends."""
+    blocks of the settle search and at times not before the trace ends."""
     from test_acceptance import bench_scenario
     from test_golden import whole_second_scenario
 

@@ -18,7 +18,7 @@ from evosched.drift import (
     Detection, DetectorConfig, DriftDetector, DriftType, FrameRecord, FrameTrace, first_drift,
 )
 from evosched.profiler import (
-    MB, AccuracyCurve, LayerKind, LayerSpec, ModelArch, arch_to_doc, from_doc,
+    MB, AccuracyCurve, LayerKind, LayerSpec, ModelArch, fields_doc, from_doc,
 )
 from evosched.sampler import SamplerConfig
 from evosched.scheduler import EvolutionTask, GpuPool, GroupingConfig, RunningEntry
@@ -1008,7 +1008,7 @@ class TestScenarioJson:
 
     def test_absent_keys_take_dataclass_defaults(self):
         doc = {"schema_version": SCHEMA_VERSION, "seed": 3, "ends": [{
-            "end_id": "e", "arch": arch_to_doc(tiny_arch()),
+            "end_id": "e", "arch": fields_doc(tiny_arch()),
             "drift_events": [{"t": 60.0, "type": "sudden", "magnitude": 0.5,
                               "transition_s": 0.0}]}]}
         event = DriftInjection(t=60.0, drift_type=DriftType.SUDDEN, magnitude=0.5,
@@ -1175,7 +1175,7 @@ def test_scenario_codec_round_trips_every_field(sc):
                          ("sampler", SamplerConfig), ("detector", DetectorConfig)):
         assert set(doc[section]) == _names(cls)
     for end, end_doc in zip(sc.ends, doc["ends"]):
-        assert repr(from_doc(ModelArch, arch_to_doc(end.arch))) == repr(end.arch)
+        assert repr(from_doc(ModelArch, fields_doc(end.arch))) == repr(end.arch)
         assert set(end_doc) == _names(MobileEndSpec, gain_curve_truth="gain_curve")
         assert set(end_doc["gain_curve"]) == _names(AccuracyCurve)
         assert set(end_doc["arch"]) == _names(ModelArch)
