@@ -140,18 +140,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--verbose", action="store_true")
+    scenarios = argparse.ArgumentParser(add_help=False, parents=[common])
+    scenarios.add_argument("--out")
+    scenarios.add_argument("--seed", type=int)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common], help="run one scenario end to end")
+    p = sub.add_parser("simulate", parents=[scenarios], help="run one scenario end to end")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
     p.add_argument("--policy")
 
-    p = sub.add_parser("sweep", parents=[common], help="run every scenario listed in a file")
+    p = sub.add_parser("sweep", parents=[scenarios], help="run every scenario listed in a file")
     p.add_argument("--sweep", required=True, help="file with one scenario path per line")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("drift-detect", parents=[common], help="emit drift events for a trace CSV")
     p.add_argument("--trace", required=True)
@@ -163,10 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tasks", required=True, help="JSON list of task records")
     p.add_argument("--capacity", type=float, required=True, help="memory capacity, MB")
 
-    p = sub.add_parser("gen-traces", parents=[common], help="write per-end trace CSVs for a scenario")
+    p = sub.add_parser("gen-traces", parents=[scenarios], help="write per-end trace CSVs for a scenario")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
 
     return parser
 

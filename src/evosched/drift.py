@@ -84,6 +84,15 @@ def _read_only(*columns: np.ndarray) -> None:
         column.flags.writeable = False
 
 
+def _prefix(clc: np.ndarray) -> np.ndarray:
+    """The cumulative sums of ``clc`` along its last axis from 0, read-only."""
+    total = np.empty(clc.shape[:-1] + (clc.shape[-1] + 1,))
+    total[..., 0] = 0.0
+    np.cumsum(clc, axis=-1, out=total[..., 1:])
+    total.flags.writeable = False
+    return total
+
+
 class FrameTrace(abc.Sequence):
     """A read-only, time-ordered frame sequence held as one array per field.
 
@@ -95,16 +104,12 @@ class FrameTrace(abc.Sequence):
     not drawn yet to the last the read needs, so a trace draws its features
     only as far as it has been read, and each row once.  ``clc_sum`` is
     computed on its first read, or with the block for a trace of
-    :meth:`block`.  Next to it the trace keeps, for each frame and
-    :class:`DetectorConfig` from which :func:`first_drift` searched for a
-    settled temp window, the frame where it settled or ``None`` if it does
-    not before the trace ends; the search reads the CLC from that frame on
-    only, a block of rows at a time, so what it found holds for every later
-    call, from any start frame and for any policy that armed the detector.
-    A window keeps its own.  The checks :class:`FrameRecord` makes, strictly
-    increasing times, one value per frame in every column and one feature
-    vector per frame and category are made once for the whole trace, or
-    once for a whole block, the last on the rows as they are drawn.
+    :meth:`block`.  Next to it the trace keeps the settles
+    :func:`first_drift` finds in it (see there); a window keeps its own.
+    The checks :class:`FrameRecord` makes, strictly increasing times, one
+    value per frame in every column and one feature vector per frame and
+    category are made once for the whole trace, or once for a whole block,
+    the last on the rows as they are drawn.
     Indexing, slicing and iteration give :class:`FrameRecord` objects;
     compare ``list(trace)`` for equality by value.
     """
@@ -126,10 +131,8 @@ class FrameTrace(abc.Sequence):
         its cumulative sum are computed for the block at once."""
         _check_columns(t, cc, lc, pixel_diff, (len(features), len(t)))
         clc = cc * lc
-        clc_sum = np.empty((len(clc), len(t) + 1))
-        clc_sum[:, 0] = 0.0
-        np.cumsum(clc, axis=1, out=clc_sum[:, 1:])
-        _read_only(t, cc, lc, pixel_diff, clc, clc_sum)
+        clc_sum = _prefix(clc)
+        _read_only(t, cc, lc, pixel_diff, clc)
         traces = []
         for r, draw in enumerate(features):
             trace = object.__new__(cls)
@@ -177,11 +180,7 @@ class FrameTrace(abc.Sequence):
         """The cumulative CLC: ``clc_sum[i]`` is ``clc[0] + ... + clc[i - 1]``,
         added left to right, so ``len(self) + 1`` values from 0."""
         if self._clc_sum is None:
-            total = np.empty(len(self.clc) + 1)
-            total[0] = 0.0
-            np.cumsum(self.clc, out=total[1:])
-            total.flags.writeable = False
-            self._clc_sum = total
+            self._clc_sum = _prefix(self.clc)
         return self._clc_sum
 
     def window(self, lo: int, hi: int) -> "FrameTrace":
@@ -304,6 +303,7 @@ class DriftDetector:
 
     def __init__(self, config: Optional[DetectorConfig] = None):
         self.config = config or DetectorConfig()
+        self._last_t = None  # kept across a reset: times increase over the whole stream
         self._reset()
 
     def _reset(self):
@@ -315,7 +315,6 @@ class DriftDetector:
         self._t1 = 0.0
         self._since_t1: list[FrameRecord] = []
         self._clc_prefix: list[float] = [0.0]  # prefix sums of CLC over _since_t1
-        self._last_t = None
 
     def update(self, frame: FrameRecord) -> Optional[DriftEvent]:
         cfg = self.config
@@ -377,9 +376,7 @@ class DriftDetector:
             drift_type=classify_drift(t1, t2, d, d0, cfg.tau),
             d=d, d0=d0,
         )
-        last_t = self._last_t
         self._reset()
-        self._last_t = last_t
         return event
 
 
@@ -404,9 +401,9 @@ def first_drift(trace: FrameTrace, start: int,
     not the policy of a simulation, which only picks the start.  So the
     settle :func:`_settle` finds from a t1 frame under a config, a block of
     rows at a time, or its finding that none comes before the trace ends,
-    holds for every later call: ``trace`` keeps it (see :class:`FrameTrace`),
-    and a call that drifts at a kept frame reads it back without a search.
-    Only the event's d and d0 read the reference window.
+    holds for every later call: ``trace`` keeps it, keyed by the t1 frame
+    and the config, and a call that drifts at a kept frame reads it back
+    without a search.  Only the event's d and d0 read the reference window.
     """
     if start < 0:
         raise ValueError("start must be a frame index")

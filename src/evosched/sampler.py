@@ -148,12 +148,9 @@ def feature_deviation(frame: FrameRecord, model: GlobalFeatureModel) -> float:
     category_means = []
     for category, boxes in by_category.items():
         centroids = model.category_centroids(category)
-        pairs = sorted(
-            ((_euclidean(z, c), bi, ci)
-             for bi, z in enumerate(boxes)
-             for ci, c in enumerate(centroids)),
-            key=lambda item: (item[0], item[1], item[2]),
-        )
+        pairs = sorted((_euclidean(z, c), bi, ci)
+                       for bi, z in enumerate(boxes)
+                       for ci, c in enumerate(centroids))
         used_boxes: set = set()
         used_centroids: set = set()
         distances = []
@@ -190,25 +187,21 @@ def _deviates(trace: FrameTrace, rows: np.ndarray, model: GlobalFeatureModel,
     boxes: Dict[int, list] = {}
     for k, category in enumerate(categories):
         boxes.setdefault(category, []).append(k)
-    scalar = False  # a trace holds one feature vector per frame and category
+    # a trace holds one feature vector per frame and category
+    matches = [(ks, model.category_centroids(category)) for category, ks in boxes.items()]
+    if any((len(ks) > 1 and len(centroids) > 1) or any(len(c) != feats.shape[2] for c in centroids)
+           for ks, centroids in matches):
+        return np.array([feature_deviation(trace[row], model) > eps2 for row in rows.tolist()])
     means = []
-    for category, ks in boxes.items():
-        centroids = model.category_centroids(category)
-        if scalar or not centroids:
-            continue
-        if (len(ks) > 1 and len(centroids) > 1) or any(len(c) != feats.shape[2] for c in centroids):
-            scalar = True
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):
-            diff = feats[:, ks, None, :] - np.asarray(centroids, dtype=float)
-            means.append(np.sqrt((diff ** 2).sum(axis=3)).min(axis=(1, 2)))
-    if scalar:
-        keep, near = np.zeros(n, dtype=bool), np.ones(n, dtype=bool)
-    else:
-        deviation = sum(means[1:], means[0]) / len(means) if means else np.zeros(n)
-        margin = 4 * (feats.shape[2] + len(boxes) + 4) * np.finfo(float).eps * eps2
-        keep = deviation > eps2
-        near = ~np.isfinite(deviation) | (np.abs(deviation - eps2) <= margin)
+    for ks, centroids in matches:
+        if centroids:
+            with np.errstate(over="ignore", invalid="ignore"):
+                diff = feats[:, ks, None, :] - np.asarray(centroids, dtype=float)
+                means.append(np.sqrt((diff ** 2).sum(axis=3)).min(axis=(1, 2)))
+    deviation = sum(means[1:], means[0]) / len(means) if means else np.zeros(n)
+    margin = 4 * (feats.shape[2] + len(boxes) + 4) * np.finfo(float).eps * eps2
+    keep = deviation > eps2
+    near = ~np.isfinite(deviation) | (np.abs(deviation - eps2) <= margin)
     keep[near] = [feature_deviation(trace[row], model) > eps2 for row in rows[near].tolist()]
     return keep
 

@@ -70,6 +70,10 @@ from .scheduler import (
 
 SCHEMA_VERSION = 1
 ACCURACY_FLOOR = 0.05
+# A scenario's bounds, so that what it asks for can be built: frames per
+# end's trace (duration times frame rate; over a day at 100 fps) and epochs.
+MAX_FRAMES_PER_END = 10_000_000
+MAX_EPOCHS = 10_000
 
 
 class Policy(str, Enum):
@@ -133,14 +137,6 @@ class ServerSpec:
         if self.mem_capacity_mb <= 0 or self.compute_capacity <= 0 or self.gpu_count < 1:
             raise ValueError("server capacities must be positive")
 
-    @property
-    def total_mem_mb(self) -> float:
-        return self.mem_capacity_mb * self.gpu_count
-
-    @property
-    def total_compute(self) -> float:
-        return self.compute_capacity * self.gpu_count
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -169,8 +165,8 @@ class Scenario:
             raise ValueError("bandwidths must be positive")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        if not 1 <= self.epochs <= MAX_EPOCHS:
+            raise ValueError(f"epochs must be in [1, {MAX_EPOCHS}]")
         if not 0 < self.data_reduction <= 1 or not 0 < self.unfrozen_fraction <= 1:
             raise ValueError("data_reduction and unfrozen_fraction must be in (0, 1]")
         if self.lookahead_factor < 0:
@@ -178,6 +174,11 @@ class Scenario:
         ids = [e.end_id for e in self.ends]
         if len(set(ids)) != len(ids):
             raise ValueError("end ids must be unique")
+        for i, end in enumerate(self.ends):
+            if self.duration * end.frame_rate > MAX_FRAMES_PER_END:
+                raise ValueError(f"ends[{i}].frame_rate {end.frame_rate!r} over duration "
+                                 f"{self.duration!r} s gives more than MAX_FRAMES_PER_END "
+                                 f"= {MAX_FRAMES_PER_END} frames")
         object.__setattr__(self, "ends", tuple(self.ends))
 
 
@@ -260,7 +261,7 @@ def _synthesize(
     cfg = sampler_cfg or SamplerConfig()
     area = float(cfg.frame_w * cfg.frame_h)
     rate = rows[0][1].frame_rate
-    n = max(0, int(duration * rate))
+    n = int(duration * rate)
     t = np.arange(1, n + 1) / rate
     p_old = PIXEL_OLD_FRACTION * area
     p_new = PIXEL_NEW_FRACTION * area
@@ -575,17 +576,15 @@ class _TaskState:
 class _Sim:
     def __init__(self, scenario: Scenario):
         self.sc = scenario
-        self.pool = GpuPool(
-            mem_capacity=scenario.server.total_mem_mb,
-            compute_capacity=scenario.server.total_compute,
-        )
+        server = scenario.server
+        self.pool = GpuPool(mem_capacity=server.mem_capacity_mb * server.gpu_count,
+                            compute_capacity=server.compute_capacity * server.gpu_count)
         self.queue: List[EvolutionTask] = []
         self.tasks: Dict[str, _TaskState] = {}
         self.finished: List[TaskMetrics] = []
         self.heap: List[tuple] = []
         self._seq = 0
         self._now = 0.0  # time of the event being handled
-        self._task_counter = 0
         g = scenario.grouping  # only the adaptive policy splits the queue into groups
         self.boundaries = (group_boundaries(group_number(g), g.lambda_min, g.lambda_max, g.sigma)
                            if scenario.policy is Policy.ADAPTIVE else [])
@@ -661,9 +660,8 @@ class _Sim:
             current_accuracy=current,
             accuracy_drop=max(0.0, end.spec.base_accuracy - current),
         ))
-        self._task_counter += 1
         task = EvolutionTask(
-            id=f"task{self._task_counter:04d}",
+            id=f"task{len(self.tasks) + 1:04d}",
             mem_demand=end.start.memory.total_mb,
             predicted_t_r=work / self.pool.compute_capacity,
             end_id=end.spec.end_id,
@@ -695,8 +693,7 @@ class _Sim:
     def _on_download_done(self, t: float, task_id: str) -> None:
         ts = self.tasks[task_id]
         end = ts.end
-        restored = min(1.0, end.spec.gain_curve_truth.predict(self.sc.epochs))
-        restored = max(restored, end.accuracy.at(t))
+        restored = max(end.spec.gain_curve_truth.predict(self.sc.epochs), end.accuracy.at(t))
         cycle_start = end.accuracy.anchor_t
         avg_acc = end.accuracy.mean_over(cycle_start, t)
         end.accuracy.restore(t, restored)

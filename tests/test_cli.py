@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,9 +19,11 @@ from evosched.simenv import (
     Policy,
     Scenario,
     gen_trace,
+    load_scenario,
     save_scenario,
 )
 
+from test_acceptance import bench_scenario
 from test_simenv import sudden_end, tiny_arch
 
 
@@ -180,6 +183,60 @@ def _edit(path, section, field, value):
         target = target[int(key)] if key.isdigit() else target[key]
     target[field] = value
     path.write_text(json.dumps(doc))
+
+
+def _scenario_commands(path, tmp_path):
+    """``(command, argv without --out)`` for each command that reads the
+    scenario file ``path``; ``sweep`` reads it from a listing in ``tmp_path``."""
+    listing = tmp_path / f"{path.parent.name}-sweep.txt"
+    listing.write_text(f"{path}\n")
+    return [("simulate", ["simulate", "--scenario", str(path)]),
+            ("sweep", ["sweep", "--sweep", str(listing)]),
+            ("gen-traces", ["gen-traces", "--scenario", str(path)])]
+
+
+def _outputs(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def test_seed_and_out_act_alike_on_every_scenario_command(scenario_path, tmp_path):
+    """On each command that reads a scenario, ``--seed`` runs it under that
+    seed and ``--out`` names the directory written: the outputs equal those
+    of a file that holds the seed, and differ from the file's own seed's."""
+    seeded = tmp_path / "seeded" / scenario_path.name
+    seeded.parent.mkdir()
+    save_scenario(seeded, replace(load_scenario(scenario_path), seed=11))
+    given = _scenario_commands(scenario_path, tmp_path)
+    held = _scenario_commands(seeded, tmp_path)
+    for (command, argv), (_, held_argv) in zip(given, held):
+        outs = {run: tmp_path / command / run for run in ("option", "file", "own")}
+        assert main(argv + ["--seed", "11", "--out", str(outs["option"])]) == EXIT_OK
+        assert main(held_argv + ["--out", str(outs["file"])]) == EXIT_OK
+        assert main(argv + ["--out", str(outs["own"])]) == EXIT_OK
+        option, own = _outputs(outs["option"]), _outputs(outs["own"])
+        assert option and option == _outputs(outs["file"]), command
+        assert option.keys() == own.keys() and option != own, command
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "gen-traces"])
+@pytest.mark.parametrize("section, field, value", [
+    ("ends.1", "frame_rate", 1e308), ("ends.1", "frame_rate", 1e300),
+    (None, "duration", 1e308), (None, "epochs", 1e308),
+])
+def test_scenario_past_its_bounds_is_input_error(tmp_path, capsys, command, section,
+                                                 field, value):
+    """Criterion 8's scenario of seed 1 (the benchmark's bench3) with one
+    leaf past the frame cap or the epoch bound exits 2 naming the leaf,
+    before any array is built or any file written."""
+    path = tmp_path / "scenario.json"
+    save_scenario(path, bench_scenario(1))
+    _edit(path, section, field, value)
+    argv = dict(_scenario_commands(path, tmp_path))[command]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert list(out.iterdir()) == []
 
 
 class TestScenarioShape:

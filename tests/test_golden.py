@@ -1,33 +1,28 @@
 """Golden output digests.
 
-The sha256 of ``metrics.csv`` followed by ``summary.json`` for every policy on
-seven scenarios, and of every end's ``gen-traces`` CSV on two of them.  The
-bench and contended digests were recorded before the five policies shared one
-admission function and one completion engine; the mixed-drift and trace
-digests before trace synthesis became array code; the contended-2 and
-whole-second digests while every frame was still one heap event; the
-fleet-like digests while the simulator still fed every frame to a streaming
-``DriftDetector``.  The contended-2 and whole-second digests pin the order
-of triggers that tie: a loop that runs triggers in the order their ends
-became idle moves the contended-2 default-gpu and serial-fifo digests and
-all five whole-second ones.  The adaptive and dp-no-grouping digests of
-contended, contended-2 and whole-second were re-recorded when tied
-completions began to finish together: a task is done when its completion
-time has come, so tasks that finish at one instant all leave the pool before
-the admission that follows, which sees the memory and the compute of each.
-The fleet-like-7 digests were recorded when default-gpu's rebalance at a
-completion became part of the one admission that completion makes: a share
-that the admission does not change is left as it is, where it used to go to
-C/(n-1) and back to C/n at the same instant, each change recomputing the
-task's completion time from the work it had left.  No other golden scenario
-reaches that round trip.  A change to the simulator that moves any output
-byte, even by one ulp, fails here; if the change is meant to move outputs,
-record the new digests and say why in CHANGES.md.
+``DIGESTS`` holds the sha256 of ``metrics.csv`` followed by ``summary.json``
+for every policy on seven scenarios, and what each pins:
 
-The codec digests pin the files ``save_scenario`` writes for the seven
-scenarios and ``write_arch_json`` writes for each distinct architecture in
-them; all but fleet-like-7's were recorded while every codec still named each
-field by hand.
+* bench-0: criterion 8's three ends under the five policies;
+* contended and contended-2: memory and compute both contended on one GPU,
+  so default-gpu shares change while tasks run, tasks queue behind memory,
+  and tasks that finish at one instant all leave the pool before the
+  admission that follows;
+* mixed-drift: every branch of trace synthesis;
+* whole-second-0: events that tie on whole seconds, so that the order of
+  tied triggers shows (a loop that runs triggers in the order their ends
+  became idle moves all five of its digests and contended-2's default-gpu
+  and serial-fifo ones), with tied completions as in contended;
+* fleet-like and fleet-like-7: the fleet benchmark's detector on two GPUs;
+  only fleet-like-7 reaches a default-gpu share that the admission at a
+  completion leaves as it is rather than changing it and back.
+
+``TRACE_DIGESTS`` pins every end's ``gen-traces`` CSV on two scenarios, and
+``SCENARIO_DIGESTS`` and ``ARCH_DIGESTS`` the files ``save_scenario`` writes
+for the seven scenarios and ``write_arch_json`` for each distinct
+architecture in them.  A change that moves any of these bytes, even by one
+ulp, fails here; if it is meant to, record the new digests and say why in
+CHANGES.md.
 
 Beside the digests, ``summary.json`` is checked to follow, bit for bit, from
 the life cycles ``metrics.csv`` holds.

@@ -24,6 +24,8 @@ from evosched.sampler import SamplerConfig
 from evosched.scheduler import EvolutionTask, GpuPool, GroupingConfig, RunningEntry
 from evosched.simenv import (
     FEATURE_DIM,
+    MAX_EPOCHS,
+    MAX_FRAMES_PER_END,
     PIXEL_OLD_FRACTION,
     PIXEL_NEW_FRACTION,
     SCHEMA_VERSION,
@@ -1211,3 +1213,14 @@ def test_scenario_validation():
         Scenario(seed=1, ends=())
     with pytest.raises(ValueError):
         scenario([sudden_end("same"), sudden_end("same")])
+
+
+def test_scenario_bounds_admit_their_limits():
+    """An end of ``MAX_FRAMES_PER_END`` frames and ``MAX_EPOCHS`` epochs are
+    allowed, one frame or one epoch more is not; no trace is built."""
+    end = sudden_end()  # 1 fps
+    Scenario(seed=1, ends=(end,), duration=float(MAX_FRAMES_PER_END), epochs=MAX_EPOCHS)
+    with pytest.raises(ValueError, match=r"ends\[0\]\.frame_rate 1\.0 over duration"):
+        Scenario(seed=1, ends=(end,), duration=MAX_FRAMES_PER_END + 1.0)
+    with pytest.raises(ValueError, match="epochs must be in"):
+        Scenario(seed=1, ends=(end,), epochs=MAX_EPOCHS + 1)
