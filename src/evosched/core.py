@@ -7,40 +7,65 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Sequence
+
+
+INT_BOUND = 2 ** 53  # an int field's bound: such ints, and products of four, are finite floats
+
+
+def ranged(default=MISSING, *, lo, hi=None, open_lo=False, open_hi=False):
+    """A dataclass field of ``default`` (none: required) that :func:`check_numbers`
+    keeps in ``[lo, hi]``, or ``(lo, hi]`` where ``open_lo`` and ``[lo, hi)``
+    where ``open_hi``; with no ``hi``, an ``int`` field also within ``INT_BOUND``
+    in magnitude, and with ``hi=math.inf``, at any size."""
+    if hi is None or hi == math.inf:
+        rule = ("positive" if open_lo else "non-negative") if lo == 0 else f"at least {lo}"
+    else:
+        rule = f"in {'(' if open_lo else '['}{lo}, {hi}{')' if open_hi else ']'}"
+    return field(default=default, metadata={
+        "range": (lo, math.inf if hi is None else hi, open_lo, open_hi, rule),
+        "int_bound": INT_BOUND if hi is None else math.inf})
 
 
 def check_numbers(obj) -> None:
     """Reject a value of a ``float`` or ``int`` field of dataclass ``obj``
-    that is not a finite number (a bool is not a number), and a fractional
-    one of an ``int`` field, naming the field; store each ``int`` field as
-    an int.  An ``int`` field takes an int of any size.  (The callers'
-    annotations are strings.)"""
-    for name, integral in _numeric_fields(type(obj)):
+    that is not a finite number (a bool is not a number), a fractional one
+    of an ``int`` field, and one outside the field's range (the one
+    :func:`ranged` declares, and for an ``int`` field with no upper bound,
+    ``INT_BOUND`` in magnitude), naming the field; store each ``int`` field
+    as an int.  (The callers' annotations are strings.)"""
+    for name, integral, int_bound, bounds in _numeric_fields(type(obj)):
         value = getattr(obj, name)
         if isinstance(value, bool):
             raise ValueError(f"{name} must be a number")
-        if integral and isinstance(value, int):
-            continue
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an int beyond the range of a float
-            finite = False
-        except TypeError:
-            raise ValueError(f"{name} must be a number") from None
-        if not finite:
-            raise ValueError(f"{name} must be finite")
-        if integral:
-            if value != int(value):
-                raise ValueError(f"{name} must be an integer")
-            object.__setattr__(obj, name, int(value))
+        if not (integral and isinstance(value, int)):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int beyond the range of a float
+                finite = False
+            except TypeError:
+                raise ValueError(f"{name} must be a number") from None
+            if not finite:
+                raise ValueError(f"{name} must be finite")
+            if integral:
+                if value != int(value):
+                    raise ValueError(f"{name} must be an integer")
+                object.__setattr__(obj, name, int(value))
+        if integral and abs(value) > int_bound:
+            raise ValueError(f"{name} must be at most {int_bound} in magnitude")
+        if bounds is not None:
+            lo, hi, open_lo, open_hi, rule = bounds
+            if value < lo or value > hi or open_lo and value == lo or open_hi and value == hi:
+                raise ValueError(f"{name} must be {rule}")
 
 
 @functools.lru_cache(maxsize=None)
 def _numeric_fields(cls) -> tuple:
-    """``(name, is int)`` for each ``float`` or ``int`` field of ``cls``."""
-    return tuple((f.name, f.type == "int") for f in fields(cls) if f.type in ("float", "int"))
+    """``(name, is int, bound on an int's magnitude, range or None)`` for each
+    ``float`` or ``int`` field of ``cls``, as :func:`ranged` declares them."""
+    return tuple((f.name, f.type == "int", f.metadata.get("int_bound", INT_BOUND),
+                  f.metadata.get("range")) for f in fields(cls) if f.type in ("float", "int"))
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import check_numbers
+from .core import check_numbers, ranged
 
 
 class DriftType(str, Enum):
@@ -224,22 +224,16 @@ class FrameTrace(abc.Sequence):
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    window_frames: int = 90
-    sub_windows: int = 3
-    temp_window_frames: int = 90
-    rod_threshold: float = 0.55
-    variance_threshold: float = 0.045 ** 2
-    tau: float = 90.0
-    d0_factor: float = 0.2
+    window_frames: int = ranged(90, lo=0, open_lo=True)
+    sub_windows: int = ranged(3, lo=0, open_lo=True)
+    temp_window_frames: int = ranged(90, lo=0, open_lo=True)
+    rod_threshold: float = ranged(0.55, lo=0, open_lo=True)
+    variance_threshold: float = ranged(0.045 ** 2, lo=0, open_lo=True)
+    tau: float = ranged(90.0, lo=0, open_lo=True)
+    d0_factor: float = ranged(0.2, lo=0, open_lo=True)
 
     def __post_init__(self):
         check_numbers(self)
-        if min(self.window_frames, self.sub_windows, self.temp_window_frames) <= 0:
-            raise ValueError("window sizes must be positive")
-        if self.rod_threshold <= 0 or self.variance_threshold <= 0:
-            raise ValueError("thresholds must be positive")
-        if self.tau <= 0 or self.d0_factor <= 0:
-            raise ValueError("tau and d0_factor must be positive")
         if self.temp_window_frames % self.sub_windows != 0:
             raise ValueError("sub_windows must divide temp_window_frames")
 

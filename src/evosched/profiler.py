@@ -19,7 +19,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import check_numbers
+from .core import check_numbers, ranged
 
 MB = 1024 * 1024
 DEFAULT_WORKSPACE_BYTES = int(round(847.30 * MB))  # framework scratch allocation
@@ -36,8 +36,8 @@ class LayerKind(str, Enum):
 @dataclass(frozen=True)
 class LayerSpec:
     kind: LayerKind
-    c_in: int
-    c_out: int
+    c_in: int = ranged(lo=0, open_lo=True)
+    c_out: int = ranged(lo=0, open_lo=True)
     k1: int = 1
     k2: int = 1
     s1: int = 1
@@ -47,8 +47,6 @@ class LayerSpec:
 
     def __post_init__(self):
         check_numbers(self)
-        if self.c_in <= 0 or self.c_out <= 0:
-            raise ValueError("channel counts must be positive")
         if self.kind is LayerKind.CONV:
             if min(self.k1, self.k2, self.s1, self.s2) <= 0:
                 raise ValueError("conv kernel and stride must be positive")
@@ -59,17 +57,15 @@ class LayerSpec:
 @dataclass(frozen=True)
 class ModelArch:
     bitwidth: int = 32
-    input_w: int = 224
-    input_h: int = 224
-    batch: int = 1
+    input_w: int = ranged(224, lo=0, open_lo=True)
+    input_h: int = ranged(224, lo=0, open_lo=True)
+    batch: int = ranged(1, lo=0, open_lo=True)
     layers: Tuple[LayerSpec, ...] = field(kw_only=True)  # last in a JSON document
 
     def __post_init__(self):
         check_numbers(self)
         if self.bitwidth not in VALID_BITWIDTHS:
             raise ValueError(f"bitwidth must be one of {VALID_BITWIDTHS}")
-        if self.input_w <= 0 or self.input_h <= 0 or self.batch <= 0:
-            raise ValueError("input dims and batch must be positive")
         object.__setattr__(self, "layers", tuple(self.layers))
 
 
@@ -276,13 +272,11 @@ class AccuracyCurve:
     """Saturating learning curve A(e) = a_max - 1/(b*e + c)."""
 
     a_max: float
-    b: float
-    c: float
+    b: float = ranged(lo=0)
+    c: float = ranged(lo=0)
 
     def __post_init__(self):
         check_numbers(self)
-        if self.b < 0 or self.c < 0:
-            raise ValueError("b and c must be non-negative")
 
     def predict(self, epoch: float) -> float:
         denom = self.b * epoch + self.c

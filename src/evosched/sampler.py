@@ -13,7 +13,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from .core import check_numbers
+from .core import check_numbers, ranged
 from .drift import FrameRecord, FrameTrace
 
 RATE_STEP_SECONDS = 30.0  # segment length of the linear-rate schedule
@@ -21,27 +21,19 @@ RATE_STEP_SECONDS = 30.0  # segment length of the linear-rate schedule
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    r_f: float = 0.6          # fixed rate for sudden drift, fps
-    r0: float = 0.1           # initial linear rate, fps
-    delta_r: float = 0.05     # linear rate increment per 30 s, fps
-    r_max: float = 1.0        # linear rate cap, fps
-    eps1: float = 0.55        # pixel-difference factor (threshold = w*h*eps1)
-    eps2: float = 0.2         # feature-deviation threshold
-    frame_w: int = 1280
-    frame_h: int = 720
+    r_f: float = ranged(0.6, lo=0, open_lo=True)    # fixed rate for sudden drift, fps
+    r0: float = ranged(0.1, lo=0, open_lo=True)     # initial linear rate, fps
+    delta_r: float = ranged(0.05, lo=0)             # linear rate increment per 30 s, fps
+    r_max: float = 1.0                              # linear rate cap, fps
+    eps1: float = ranged(0.55, lo=0, open_lo=True)  # pixel-difference factor (threshold = w*h*eps1)
+    eps2: float = ranged(0.2, lo=0, open_lo=True)   # feature-deviation threshold
+    frame_w: int = ranged(1280, lo=0, open_lo=True)
+    frame_h: int = ranged(720, lo=0, open_lo=True)
 
     def __post_init__(self):
         check_numbers(self)
-        if self.r_f <= 0:
-            raise ValueError("r_f must be positive")
-        if not 0 < self.r0 <= self.r_max:
-            raise ValueError("need 0 < r0 <= r_max")
-        if self.delta_r < 0:
-            raise ValueError("delta_r must be non-negative")
-        if self.eps1 <= 0 or self.eps2 <= 0:
-            raise ValueError("eps1 and eps2 must be positive")
-        if self.frame_w <= 0 or self.frame_h <= 0:
-            raise ValueError("frame dimensions must be positive")
+        if self.r0 > self.r_max:
+            raise ValueError("need r0 <= r_max")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import check_numbers
+from .core import check_numbers, ranged
 
 
 @dataclass
@@ -26,41 +26,33 @@ class EvolutionTask:
     ``end_id`` is the task's own id."""
 
     id: str
-    mem_demand: float        # MB
-    predicted_t_r: float     # seconds
+    mem_demand: float = ranged(lo=0, open_lo=True)     # MB
+    predicted_t_r: float = ranged(lo=0, open_lo=True)  # seconds
     end_id: Optional[str] = None
     arrival_t: float = 0.0
-    urgency: float = 50.0
+    urgency: float = ranged(50.0, lo=0, hi=100, open_lo=True, open_hi=True)
 
     def __post_init__(self):
         if self.end_id is None:
             self.end_id = self.id
         check_numbers(self)
-        if self.mem_demand <= 0:
-            raise ValueError("mem_demand must be positive")
-        if self.predicted_t_r <= 0:
-            raise ValueError("predicted_t_r must be positive")
-        if not 0 < self.urgency < 100:
-            raise ValueError("urgency must be in (0, 100)")
 
 
 @dataclass(frozen=True)
 class GroupingConfig:
-    n_max: int = 12             # expected concurrent requests N
-    n_min: int = 3              # minimum tasks per group
-    eps_range: float = 35.0     # acceptable tail band length
-    sigma: float = 24.0         # urgency model spread
+    n_max: int = 12                                      # expected concurrent requests N
+    n_min: int = ranged(3, lo=0, open_lo=True)           # minimum tasks per group
+    eps_range: float = ranged(35.0, lo=0, open_lo=True)  # acceptable tail band length
+    sigma: float = ranged(24.0, lo=0, open_lo=True)      # urgency model spread
     lambda_min: float = 0.0
     lambda_max: float = 100.0
 
     def __post_init__(self):
         check_numbers(self)
-        if self.n_min < 1 or self.n_max < self.n_min:
-            raise ValueError("need n_max >= n_min >= 1")
+        if self.n_max < self.n_min:
+            raise ValueError("need n_max >= n_min")
         if self.lambda_min >= self.lambda_max:
             raise ValueError("need lambda_min < lambda_max")
-        if self.sigma <= 0 or self.eps_range <= 0:
-            raise ValueError("sigma and eps_range must be positive")
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .core import (
     check_numbers,
     penalized_average_qoe,
     qoe_single,
+    ranged,
     urgency,
 )
 from .drift import (
@@ -86,18 +87,15 @@ class Policy(str, Enum):
 
 @dataclass(frozen=True)
 class DriftInjection:
-    t: float                # drift onset
+    t: float = ranged(lo=0)  # drift onset
     drift_type: DriftType
-    magnitude: float        # absolute CLC drop at full transition
-    transition_s: float     # onset-to-settled duration
-    recovery_s: float = 150.0  # CLC returns to base this long after settling
+    # absolute CLC drop at full transition
+    magnitude: float = ranged(lo=0, hi=1, open_lo=True, open_hi=True)
+    transition_s: float = ranged(lo=0)  # onset-to-settled duration
+    recovery_s: float = ranged(150.0, lo=0)  # CLC returns to base this long after settling
 
     def __post_init__(self):
         check_numbers(self)
-        if self.t < 0 or self.transition_s < 0 or self.recovery_s < 0:
-            raise ValueError("times must be non-negative")
-        if not 0 < self.magnitude < 1:
-            raise ValueError("magnitude must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -105,21 +103,15 @@ class MobileEndSpec:
     end_id: str
     arch: ModelArch
     drift_events: Tuple[DriftInjection, ...] = ()
-    frame_rate: float = 1.0
-    frame_bytes: float = 200_000.0
-    base_accuracy: float = 0.8
-    decay: float = 0.002           # accuracy loss per second during a transition
+    frame_rate: float = ranged(1.0, lo=0, open_lo=True)
+    frame_bytes: float = ranged(200_000.0, lo=0, open_lo=True)
+    base_accuracy: float = ranged(0.8, lo=0, hi=1, open_lo=True)
+    decay: float = ranged(0.002, lo=0)  # accuracy loss per second during a transition
     gain_curve_truth: AccuracyCurve = AccuracyCurve(a_max=0.82, b=0.5, c=1.0)
-    work_per_frame: float = 1.0    # compute-seconds per frame per epoch
+    work_per_frame: float = ranged(1.0, lo=0, open_lo=True)  # compute-seconds per frame per epoch
 
     def __post_init__(self):
         check_numbers(self)
-        if self.frame_rate <= 0 or self.frame_bytes <= 0:
-            raise ValueError("frame_rate and frame_bytes must be positive")
-        if not 0 < self.base_accuracy <= 1:
-            raise ValueError("base_accuracy must be in (0, 1]")
-        if self.decay < 0 or self.work_per_frame <= 0:
-            raise ValueError("decay must be >= 0 and work_per_frame > 0")
         times = [e.t for e in self.drift_events]
         if times != sorted(times):
             raise ValueError("drift events must be time-ordered")
@@ -128,58 +120,72 @@ class MobileEndSpec:
 
 @dataclass(frozen=True)
 class ServerSpec:
-    mem_capacity_mb: float = 8192.0
-    compute_capacity: float = 8.0   # compute units per second
-    gpu_count: int = 1
+    mem_capacity_mb: float = ranged(8192.0, lo=0, open_lo=True)
+    compute_capacity: float = ranged(8.0, lo=0, open_lo=True)  # compute units per second
+    gpu_count: int = ranged(1, lo=0, open_lo=True)
 
     def __post_init__(self):
         check_numbers(self)
-        if self.mem_capacity_mb <= 0 or self.compute_capacity <= 0 or self.gpu_count < 1:
-            raise ValueError("server capacities must be positive")
 
 
 @dataclass(frozen=True)
 class Scenario:
-    seed: int
+    seed: int = ranged(lo=0, hi=math.inf)  # of any size
     ends: Tuple[MobileEndSpec, ...]
     server: ServerSpec = ServerSpec()
-    uplink_mbps: float = 10.0       # MiB per second
-    downlink_mbps: float = 20.0     # MiB per second
+    uplink_mbps: float = ranged(10.0, lo=0, open_lo=True)    # MiB per second
+    downlink_mbps: float = ranged(20.0, lo=0, open_lo=True)  # MiB per second
     policy: Policy = Policy.ADAPTIVE
-    duration: float = 600.0
+    duration: float = ranged(600.0, lo=0, open_lo=True)
     grouping: GroupingConfig = GroupingConfig()
     sampler: SamplerConfig = SamplerConfig()
     detector: DetectorConfig = DetectorConfig()
-    epochs: int = 10
-    data_reduction: float = 1.0
-    unfrozen_fraction: float = 0.31
-    lookahead_factor: float = 0.1
+    epochs: int = ranged(10, lo=1, hi=MAX_EPOCHS)
+    data_reduction: float = ranged(1.0, lo=0, hi=1, open_lo=True)
+    unfrozen_fraction: float = ranged(0.31, lo=0, hi=1, open_lo=True)
+    lookahead_factor: float = ranged(0.1, lo=0)
 
     def __post_init__(self):
         check_numbers(self)
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
         if not self.ends:
             raise ValueError("scenario needs at least one end")
-        if self.uplink_mbps <= 0 or self.downlink_mbps <= 0:
-            raise ValueError("bandwidths must be positive")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if not 1 <= self.epochs <= MAX_EPOCHS:
-            raise ValueError(f"epochs must be in [1, {MAX_EPOCHS}]")
-        if not 0 < self.data_reduction <= 1 or not 0 < self.unfrozen_fraction <= 1:
-            raise ValueError("data_reduction and unfrozen_fraction must be in (0, 1]")
-        if self.lookahead_factor < 0:
-            raise ValueError("lookahead_factor must be non-negative")
         ids = [e.end_id for e in self.ends]
         if len(set(ids)) != len(ids):
             raise ValueError("end ids must be unique")
         for i, end in enumerate(self.ends):
-            if self.duration * end.frame_rate > MAX_FRAMES_PER_END:
+            frames = self.duration * end.frame_rate
+            if frames > MAX_FRAMES_PER_END:
                 raise ValueError(f"ends[{i}].frame_rate {end.frame_rate!r} over duration "
                                  f"{self.duration!r} s gives more than MAX_FRAMES_PER_END "
                                  f"= {MAX_FRAMES_PER_END} frames")
+            if frames >= 2:  # a detector fires on its second frame at the earliest
+                self._check_task_times(i, end, int(frames))
         object.__setattr__(self, "ends", tuple(self.ends))
+
+    def _check_task_times(self, i: int, end: MobileEndSpec, n: int) -> None:
+        """Reject the fields of end ``i``, whose trace has ``n`` frames, if a
+        task of 1 to ``n`` of them, timed as ``_Sim._on_trigger`` times it,
+        would arrive after a time past a float's range, or retrain for 0 s,
+        past that range, or for so short a time that its knapsack value
+        ``100 / predicted_t_r`` is past it."""
+        if not math.isfinite(self.duration + n * end.frame_bytes / (self.uplink_mbps * MB)):
+            raise ValueError(f"ends[{i}].frame_bytes {end.frame_bytes!r} at uplink_mbps "
+                             f"{self.uplink_mbps!r} gives {n} frames an upload time past "
+                             f"a float's range")
+        server = self.server
+        compute = server.compute_capacity * server.gpu_count
+        one, most = (k * self.epochs * end.work_per_frame * self.data_reduction / compute
+                     for k in (1, n))
+        if not math.isfinite(most):
+            problem = f"{n} frames in a time past a float's range"
+        elif one == 0 or not math.isfinite(100.0 / one):
+            problem = f"one frame in {one!r} s, too short for a float to hold it or 100 / it"
+        else:
+            return
+        raise ValueError(f"ends[{i}].work_per_frame {end.work_per_frame!r} over {self.epochs} "
+                         f"epochs at data_reduction {self.data_reduction!r} on "
+                         f"server.compute_capacity {server.compute_capacity!r} x gpu_count "
+                         f"{server.gpu_count} retrains {problem}")
 
 
 # --- trace synthesis --------------------------------------------------------

@@ -239,6 +239,45 @@ def test_scenario_past_its_bounds_is_input_error(tmp_path, capsys, command, sect
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("section, field, value", [
+    # an int past INT_BOUND, whose products in the simulator pass a float's range
+    ("ends.1.arch", "batch", 10 ** 400), ("ends.1.arch", "batch", 1e308),
+    ("ends.1.arch.layers.0", "c_in", 1e308), ("ends.1.arch.layers.0", "c_in", 10 ** 400),
+    ("ends.1.arch.layers.0", "c_out", 1e308), ("ends.1.arch.layers.0", "c_out", 10 ** 400),
+    ("server", "gpu_count", 10 ** 400), ("server", "gpu_count", 1e308),
+    ("grouping", "n_max", 10 ** 400),
+    ("sampler", "frame_w", 1e308), ("sampler", "frame_w", 10 ** 400),
+    ("sampler", "frame_h", 1e308), ("sampler", "frame_h", 10 ** 400),
+    # a task's upload or retraining time, or its knapsack value, past a float's range
+    ("ends.1", "frame_bytes", 1e308), (None, "uplink_mbps", 1e-320),
+    ("ends.1", "work_per_frame", 1e308), ("server", "compute_capacity", 1e-320),
+    ("ends.1", "work_per_frame", 1e-320), (None, "data_reduction", 1e-320),
+], ids=lambda value: "10**400" if value == 10 ** 400 else None)
+def test_scenario_number_past_a_float_is_input_error(tmp_path, capsys, section, field, value):
+    """Bench3 seed 1's scenario with one leaf whose value would make a task
+    time or size past a float's range exits 2 naming the leaf, not a task's
+    field, and writes no file."""
+    path = tmp_path / "scenario.json"
+    save_scenario(path, bench_scenario(1))
+    _edit(path, section, field, value)
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: invalid scenario: ") and field in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("path", [("batch",), ("layers", 0, "c_in"), ("layers", 0, "c_out"),
+                                  ("layers", 0, "k1"), ("layers", 0, "p1")])
+def test_profile_memory_rejects_an_int_past_its_bound(tmp_path, capsys, path):
+    arch = tmp_path / "arch.json"
+    write_arch_json(arch, tiny_arch())
+    _edit(arch, ".".join(map(str, path[:-1])), path[-1], 10 ** 400)
+    assert main(["profile-memory", "--arch", str(arch)]) == EXIT_INPUT
+    assert f"{path[-1]} must be at most 9007199254740992 in magnitude" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [arch]
+
+
 class TestScenarioShape:
     """Every section of a scenario reads by the fields of its dataclass."""
 
@@ -296,7 +335,7 @@ class TestScenarioShape:
         ("ends.1", "frame_rate", float("inf"),
          "Scenario.ends[1]: MobileEndSpec: frame_rate must be finite"),
         ("ends.1.arch.layers.0", "c_in", -1,
-         "Scenario.ends[1]: ModelArch.layers[0]: LayerSpec: channel counts must be positive"),
+         "Scenario.ends[1]: ModelArch.layers[0]: LayerSpec: c_in must be positive"),
     ])
     def test_class_check_names_the_list_item(self, scenario_path, tmp_path, capsys,
                                              section, field, value, message):

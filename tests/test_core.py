@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -5,14 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evosched import core, drift, profiler, sampler, scheduler, simenv
 from evosched.core import (
+    INT_BOUND,
     LifeCycle,
     QoEReport,
     UrgencyInput,
+    check_numbers,
     penalized_average_qoe,
     qoe_single,
     urgency,
 )
+from evosched.scheduler import EvolutionTask
+
+from test_acceptance import bench_scenario
 
 
 def make_cycle(t_infer, t_retrain_total, acc, t_upload=0.0, t_download=0.0):
@@ -180,3 +188,74 @@ def test_lifecycle_validation():
     with pytest.raises(ValueError):
         LifeCycle(t_infer=1, t_upload=0, t_schedule=0, t_retrain=0,
                   t_download=0, avg_accuracy=1.5, urgency=50.0)
+
+
+def _instances(value, found):
+    """``found`` with each dataclass instance in ``value``, its fields and
+    its tuples added, the first of each class."""
+    if dataclasses.is_dataclass(value):
+        found.setdefault(type(value), value)
+        for f in dataclasses.fields(value):
+            _instances(getattr(value, f.name), found)
+    elif isinstance(value, tuple):
+        for item in value:
+            _instances(item, found)
+    return found
+
+
+def _bounds(f):
+    """``(bound, is open, side)`` for each finite bound that number field
+    ``f`` keeps, side -1 for the lower and +1 for the upper: its declared
+    range's, or an int field's ``INT_BOUND`` where that binds first."""
+    lo, hi, open_lo, open_hi, _ = f.metadata.get("range", (-math.inf, math.inf, False, False, ""))
+    if f.type == "int":
+        cap = f.metadata.get("int_bound", INT_BOUND)
+        lo, open_lo = (lo, open_lo) if lo >= -cap else (-cap, False)
+        hi, open_hi = (hi, open_hi) if hi <= cap else (cap, False)
+    return [(b, is_open, side) for b, is_open, side in ((lo, open_lo, -1), (hi, open_hi, 1))
+            if math.isfinite(b)]
+
+
+def _step(f, value, side):
+    """The nearest value of field ``f``'s type beyond ``value`` on ``side``."""
+    return value + side if f.type == "int" else math.nextafter(value, side * math.inf)
+
+
+def test_every_declared_range_holds_at_its_bounds():
+    """For every number field of every class that declares a range with
+    ``ranged``: ``check_numbers`` accepts each closed bound and the nearest
+    value inside each open one, and building the class with the nearest
+    value past a closed bound, or an open bound itself, raises a ValueError
+    that names the field.  Acceptance is asked of ``check_numbers`` alone,
+    since a class's cross-field rules may reject a bound."""
+    declaring = {cls for module in (core, drift, profiler, sampler, scheduler, simenv)
+                 for cls in vars(module).values()
+                 if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                 and any("range" in f.metadata for f in dataclasses.fields(cls))}
+    bases = _instances(bench_scenario(1), {
+        EvolutionTask: EvolutionTask(id="a", mem_demand=10.0, predicted_t_r=10.0)})
+    assert declaring <= bases.keys(), f"no instance of {declaring - bases.keys()}"
+    failures, checked = [], 0
+    for cls in declaring:
+        for f in dataclasses.fields(cls):
+            if f.type not in ("float", "int"):
+                continue
+            for bound, is_open, side in _bounds(f):
+                inside = _step(f, bound, -side) if is_open else bound
+                outside = bound if is_open else _step(f, bound, side)
+                where = f"{cls.__name__}.{f.name}"
+                obj = copy.copy(bases[cls])
+                object.__setattr__(obj, f.name, inside)
+                try:
+                    check_numbers(obj)
+                except ValueError as exc:
+                    failures.append(f"{where} = {inside!r} rejected: {exc}")
+                try:
+                    dataclasses.replace(bases[cls], **{f.name: outside})
+                    failures.append(f"{where} = {outside!r} accepted")
+                except ValueError as exc:
+                    if not str(exc).startswith(f"{f.name} must be "):
+                        failures.append(f"{where} = {outside!r}: {exc}")
+                checked += 1
+    assert not failures, failures
+    assert checked
